@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-report lint-bench lint-race vuln build test race fuzz bench bench-gate bench-baseline tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke clean
+.PHONY: ci vet lint lint-report lint-bench lint-race vuln build test test-procs race fuzz bench bench-gate bench-baseline tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke clean
 
 # ci is the full gate: static checks (vet plus the xposelint suite,
 # with its golden tests re-run under the race detector and a wall-clock
-# budget on the full-repo lint), build, tests, the race detector (short
-# mode keeps the race shapes small), a capped autotuner run, an
+# budget on the full-repo lint), build, tests, the root and tuner tests
+# again at one and at four procs, the race detector (short mode keeps
+# the race shapes small), a capped autotuner run, an
 # out-of-core round trip on a real temp file, the daemon selftest, the
 # benchmark regression gate against the committed baseline, and a
 # best-effort vulnerability scan.
-ci: vet lint lint-race lint-bench build test race tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke bench-gate vuln
+ci: vet lint lint-race lint-bench build test test-procs race tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke bench-gate vuln
 
 vet:
 	$(GO) vet ./...
@@ -69,6 +70,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-procs re-runs the root and internal/tune tests at GOMAXPROCS=1
+# and GOMAXPROCS=4. The worker budget is part of the wisdom key, so a
+# test that silently relies on the host's core count fails at one of
+# the two settings.
+test-procs:
+	GOMAXPROCS=1 $(GO) test -count=1 . ./internal/tune
+	GOMAXPROCS=4 $(GO) test -count=1 . ./internal/tune
 
 race:
 	$(GO) test -race -short ./...

@@ -19,6 +19,12 @@
 // deterministic JSON) and GET /healthz. Without -spill, jobs larger
 // than -mem-limit are rejected instead of spilled.
 //
+// Spilled jobs resume from their out-of-core journal, and a journal
+// resumes only under the journal format version that wrote it: drain
+// the spill directory (let clients finish or Resume their jobs) before
+// upgrading the daemon across a journal format change. An undrained
+// job from an older format fails its resume with a journal mismatch.
+//
 // -selftest runs the full service loop in-process — 64 concurrent
 // clients over TCP, coalesced small jobs, a spilled job killed mid-
 // upload and resumed across a daemon restart, and a /stats scrape with

@@ -150,26 +150,33 @@
 //	    Budget: 256 << 20,
 //	})
 //
-// The schedule is the same three-pass decomposition lifted from cache
-// blocks to storage segments: every pass touches the buffer along one
-// axis only, so it splits into independent column-slab or row-run
-// panels streamed through a prefetch/transform/write pipeline with
-// write-combined backend spans. The budget floor is
-// 2*max(rows,cols)*elemSize bytes — the decomposition's O(max(m,n))
-// auxiliary bound made literal. Any positive element size is accepted:
-// the engine permutes opaque fixed-size records.
+// The schedule is the in-memory decomposition lifted from cache blocks
+// to storage segments: every pass touches the buffer along one axis
+// only, so it splits into independent column-slab or row-run panels,
+// and the column shuffle runs as one gather per column, so a run makes
+// three passes over the file (two for coprime shapes). Each pass reads a
+// panel, permutes it in place through per-worker scratch lines and
+// writes it back with write-combined backend spans, one panel at a time.
+// The budget floor is 2*max(rows,cols)*elemSize bytes — one minimum
+// panel and one line, the decomposition's O(max(m,n)) auxiliary bound
+// made literal. Any positive element size is accepted: the engine
+// permutes opaque fixed-size records.
 //
 // With OOCOptions.Journal set, every segment write is preceded by a
-// durable undo image and followed by a checksummed commit record, so an
-// interrupted run re-invoked with Resume converges to the bit-identical
-// result; Verify re-reads the final pass against the committed
-// checksums. Failures wrap the typed sentinels ErrOOCShortRead,
-// ErrOOCShortWrite, ErrOOCCorruptSegment, ErrOOCBudget,
+// durable undo image and followed by a CRC32C commit record, and data is
+// synced before each pass is recorded as done, so an interrupted run
+// re-invoked with Resume converges to the bit-identical result (commits
+// whose data did not survive are rolled back and re-executed); Verify
+// re-reads the final pass against the committed checksums. Journals are
+// format version 2; resuming a version-1 journal fails with
+// ErrOOCJournalMismatch. Failures wrap the typed sentinels
+// ErrOOCShortRead, ErrOOCShortWrite, ErrOOCCorruptSegment, ErrOOCBudget,
 // ErrOOCJournalMismatch, ErrOOCJournalCorrupt and ErrOOCNoJournal.
 // NewOOCPlanner validates and resolves the schedule once for repeated
-// runs; TuneOOC measures schedule candidates on a temp file and records
-// the winner in the wisdom table, keyed by shape, element size and the
-// budget's binary magnitude. cmd/xposeooc wraps all of it for raw files.
+// runs; TuneOOC measures worker-count candidates on a temp file and
+// records the winner in the wisdom table, keyed by shape, element size
+// and the budget's binary magnitude (the segment is always derived from
+// the exact budget). cmd/xposeooc wraps all of it for raw files.
 //
 // # Static analysis
 //

@@ -26,9 +26,9 @@ var ErrShortWrite = errors.New("ooc: short write")
 var ErrCorruptSegment = errors.New("ooc: corrupt segment")
 
 // ErrBudget reports a memory budget below the decomposition's floor:
-// every pass needs at least one full row and one full column of the
-// matrix resident, so the budget must cover 2*max(rows,cols) elements
-// (a source and a destination panel of minimum width).
+// every pass needs one panel of minimum width (a full row or column)
+// and one scratch line of max(rows,cols) elements resident, so the
+// budget must cover 2*max(rows,cols) elements.
 var ErrBudget = errors.New("ooc: memory budget below 2*max(rows,cols) elements")
 
 // ErrJournalMismatch reports a resume journal whose recorded geometry

@@ -12,16 +12,17 @@ var byteOrder = binary.LittleEndian
 // Checksummed record framing, shared between the progress journal and
 // the columnar tile store (internal/tilestore). A frame is a fixed
 // 48-byte header followed by an arbitrary payload: the header carries
-// the payload length and CRC64-ECMA checksum plus three caller-defined
-// identity fields, and is itself closed by a CRC64 over its first 40
-// bytes. A single flipped bit anywhere — header or payload — is
-// therefore detectable without trusting any other byte of the file,
-// which is what lets both consumers treat "first frame that fails
-// validation" as the logical end (journal) or as corruption
-// (tilestore segments).
+// the payload length and a caller-computed 64-bit payload checksum
+// (CRC64-ECMA in the tile store, CRC32C zero-extended in the version-2
+// journal) plus three caller-defined identity fields, and is itself
+// closed by a CRC64 over its first 40 bytes. A single flipped bit
+// anywhere — header or payload — is therefore detectable without
+// trusting any other byte of the file, which is what lets both
+// consumers treat "first frame that fails validation" as the logical
+// end (journal) or as corruption (tilestore segments).
 //
-// The byte layout is exactly the journal record format that shipped in
-// PR 5; extracting it here changed no on-disk bytes.
+// The byte layout is the journal's original record format; extracting it
+// here changed no on-disk bytes.
 
 // FrameHeaderSize is the fixed byte size of an encoded frame header.
 const FrameHeaderSize = 48
@@ -42,9 +43,9 @@ type Frame struct {
 	Gen        uint64
 }
 
-// Checksum returns the CRC64-ECMA checksum of p, using the table shared
-// by every checksummed structure in this package (journal records,
-// segment commits, tile-store frames).
+// Checksum returns the CRC64-ECMA checksum of p, the table behind every
+// frame and journal header and the tile store's payload sums. Journal
+// record payloads and segment commits use CRC32C instead.
 func Checksum(p []byte) uint64 { return crc64.Checksum(p, crcTab) }
 
 // ChecksumUpdate folds p into a running checksum, so a payload can be

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzOOCRoundTrip drives the whole engine — schedule derivation,
-// pipeline, journal, kill and resume — over fuzzer-chosen shapes,
+// panel loop, journal, kill and resume — over fuzzer-chosen shapes,
 // element sizes, budgets and fault points, asserting bit-exactness
 // against the out-of-place reference every time. A crash at an
 // arbitrary write count followed by a resume must converge to the same

@@ -3,21 +3,32 @@ package ooc
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"hash/crc64"
 	"io"
-	"sync"
 	"time"
 )
 
 // The progress journal: an append-only write-ahead log on any Backend.
 // Before a transformed segment overwrites its backend region, the
-// segment's original bytes (the source panel, which the pipeline already
-// holds) are appended as an undo image; after the data write completes,
-// a commit record with the transformed segment's CRC64 is appended.
-// Pass boundaries get their own records. A crash therefore leaves the
-// journal in one of three states per segment — untouched (re-execute),
+// segment's original bytes (the panel as read, before the in-place
+// transform) are appended as an undo image and synced; after the data
+// write completes, a commit record with the transformed segment's
+// checksum is appended. Pass boundaries get their own records, written
+// after the data backend is synced. A crash therefore leaves the journal
+// in one of three states per segment — untouched (re-execute),
 // intent-only (roll back the undo image, then re-execute), or committed
-// (skip) — and every state resumes to the identical final matrix.
+// (skip if the data still matches the commit checksum, otherwise roll
+// back and re-execute: commits are not preceded by a data sync) — and
+// every state resumes to the identical final matrix. A unit's latest
+// record decides its state: an intent after a commit (a resume rolled
+// the unit back and was killed re-executing it) makes it intent-only.
+//
+// Version 2 sums record payloads and commits with hardware CRC32C
+// (Castagnoli), zero-extended into the frame's 64-bit PayloadSum; frame
+// and journal headers keep their CRC64. Version 1 journals recorded the
+// four-pass schedule with a separate rotation and row permute, which no
+// longer exists, so resuming one fails with ErrJournalMismatch.
 //
 // Torn trailing records are the expected shape of a crash: scanning
 // stops at the first record whose header or payload checksum fails, or
@@ -25,8 +36,8 @@ import (
 // everything after is treated as never written.
 
 const (
-	journalMagic   = "XOOCJv1\n"
-	journalVersion = 1
+	journalMagic   = "XOOCJv1\n" // the file type; the format version is a header field
+	journalVersion = 2
 	headerSize     = 64
 	recHeaderSize  = FrameHeaderSize
 )
@@ -34,25 +45,42 @@ const (
 // Record kinds. Stable on-disk values.
 const (
 	recIntent   = 1 // payload: undo image of the segment's panel bytes
-	recCommit   = 2 // payload: 8-byte CRC64 of the transformed panel
+	recCommit   = 2 // payload: 8-byte CRC32C of the transformed panel
 	recPassDone = 3 // payload: empty
 )
 
-var crcTab = crc64.MakeTable(crc64.ECMA)
+var (
+	crcTab     = crc64.MakeTable(crc64.ECMA)
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+)
 
-// journal is an open journal with an append cursor. Appends are
-// serialized by the pipeline's writer stage; the mutex guards against
-// misuse if that ever changes.
+// crc32c is the journal's payload and commit checksum: hardware CRC32C,
+// zero-extended to the frame's 64-bit sum field.
+func crc32c(p []byte) uint64 { return uint64(crc32.Checksum(p, castagnoli)) }
+
+// crc32cRange computes crc32c over n bytes at off without holding the
+// range resident.
+func crc32cRange(r io.ReaderAt, off, n int64) (uint64, error) {
+	h := crc32.New(castagnoli)
+	if _, err := io.Copy(h, io.NewSectionReader(r, off, n)); err != nil {
+		return 0, err
+	}
+	return uint64(h.Sum32()), nil
+}
+
+// journal is an open journal with an append cursor. The runner appends
+// from a single goroutine.
 type journal struct {
 	b     Backend
 	ctr   *counters
 	runID uint64
 	end   int64
-	mu    sync.Mutex
 }
 
-// journalGeom is the schedule fingerprint persisted in the header; a
-// resume must match it exactly or the unit boundaries would shift.
+// journalGeom is the schedule fingerprint persisted in the header. A
+// resume must match its shape, direction and pass count exactly; the
+// panel widths it records replace the derived ones, so the unit
+// boundaries stay where the journal put them.
 type journalGeom struct {
 	rows, cols, elem int
 	c2r              bool
@@ -70,14 +98,23 @@ func (s *schedule) geom(rows, cols int) journalGeom {
 // (for Verify).
 type resumeState struct {
 	donePasses int
-	committed  map[int]bool   // units of pass donePasses with commit records
-	intents    map[int]intent // units of pass donePasses with intent but no commit
-	finalSums  map[int]uint64 // unit -> CRC64, final pass only
+	committed  map[int]commitRec // units of pass donePasses with commit records
+	intents    map[int]intent    // units of pass donePasses with intent but no commit
+	finalSums  map[int]uint64    // unit -> CRC32C, final pass only
 }
 
+// intent locates a unit's undo image in the journal.
 type intent struct {
 	payloadOff int64
 	payloadLen int64
+}
+
+// commitRec is a committed unit of the in-flight pass: its commit
+// checksum, and its undo image in case the data behind the commit did
+// not survive.
+type commitRec struct {
+	sum  uint64
+	undo intent
 }
 
 // newJournal starts a fresh journal generation on b: writes a new
@@ -109,13 +146,17 @@ func newJournal(b Backend, g journalGeom, ctr *counters) (*journal, error) {
 	if t, ok := b.(interface{ Truncate(int64) error }); ok {
 		_ = t.Truncate(headerSize)
 	}
-	j.syncJournal()
+	if err := syncBackend(b, "journal"); err != nil {
+		return nil, err
+	}
 	return j, nil
 }
 
-// openJournal validates an existing journal against the expected
-// geometry and scans it into a resumeState.
-func openJournal(b Backend, g journalGeom, finalPass int, ctr *counters) (*journal, *resumeState, error) {
+// openJournal validates an existing journal against the run's geometry,
+// adopts the panel widths it recorded into s, and scans it into a
+// resumeState.
+func openJournal(b Backend, s *schedule, cfg Config, ctr *counters) (*journal, *resumeState, error) {
+	g := s.geom(cfg.Rows, cfg.Cols)
 	var h [headerSize]byte
 	if _, err := io.ReadFull(io.NewSectionReader(b, 0, headerSize), h[:]); err != nil {
 		return nil, nil, fmt.Errorf("%w: unreadable header: %v", ErrJournalCorrupt, err)
@@ -127,7 +168,7 @@ func openJournal(b Backend, g journalGeom, finalPass int, ctr *counters) (*journ
 		return nil, nil, fmt.Errorf("%w: header checksum mismatch", ErrJournalCorrupt)
 	}
 	if v := binary.LittleEndian.Uint32(h[8:12]); v != journalVersion {
-		return nil, nil, fmt.Errorf("%w: version %d, want %d", ErrJournalCorrupt, v, journalVersion)
+		return nil, nil, mismatchErr("version", int64(v), journalVersion)
 	}
 	check := func(field string, got, want int64) error {
 		if got != want {
@@ -146,8 +187,6 @@ func openJournal(b Backend, g journalGeom, finalPass int, ctr *counters) (*journ
 		{"rows", int64(binary.LittleEndian.Uint64(h[16:24])), int64(g.rows)},
 		{"cols", int64(binary.LittleEndian.Uint64(h[24:32])), int64(g.cols)},
 		{"passes", int64(flags >> 8), int64(g.passes)},
-		{"segment_cols", int64(vwhh >> 32), int64(g.vw)},
-		{"segment_rows", int64(vwhh & 0xffffffff), int64(g.hh)},
 	} {
 		if err := check(c.field, c.got, c.want); err != nil {
 			return nil, nil, err
@@ -156,9 +195,13 @@ func openJournal(b Backend, g journalGeom, finalPass int, ctr *counters) (*journ
 	if jc2r != g.c2r {
 		return nil, nil, fmt.Errorf("%w: direction differs", ErrJournalMismatch)
 	}
+	if err := s.adoptPanels(int(vwhh>>32), int(vwhh&0xffffffff), cfg.Budget); err != nil {
+		return nil, nil, err
+	}
+	finalPass := len(s.passes) - 1
 
 	j := &journal{b: b, ctr: ctr, runID: binary.LittleEndian.Uint64(h[48:56]), end: headerSize}
-	st := &resumeState{committed: map[int]bool{}, intents: map[int]intent{}, finalSums: map[int]uint64{}}
+	st := &resumeState{committed: map[int]commitRec{}, intents: map[int]intent{}, finalSums: map[int]uint64{}}
 	var rh [recHeaderSize]byte
 	for {
 		if _, err := io.ReadFull(io.NewSectionReader(b, j.end, recHeaderSize), rh[:]); err != nil {
@@ -176,8 +219,18 @@ func openJournal(b Backend, g journalGeom, finalPass int, ctr *counters) (*journ
 		unit := int(fr.Unit)
 		plen := int64(fr.PayloadLen)
 		payloadOff := j.end + recHeaderSize
-		if plen > 0 {
-			sum, err := ChecksumRange(b, payloadOff, plen)
+		var commitSum uint64
+		if kind == recCommit {
+			var sb [8]byte
+			if plen != 8 {
+				break // not a commit this version writes
+			}
+			if _, err := io.ReadFull(io.NewSectionReader(b, payloadOff, 8), sb[:]); err != nil || crc32c(sb[:]) != fr.PayloadSum {
+				break // torn payload
+			}
+			commitSum = binary.LittleEndian.Uint64(sb[:])
+		} else if plen > 0 {
+			sum, err := crc32cRange(b, payloadOff, plen)
 			if err != nil || sum != fr.PayloadSum {
 				break // torn payload
 			}
@@ -186,23 +239,27 @@ func openJournal(b Backend, g journalGeom, finalPass int, ctr *counters) (*journ
 		case recPassDone:
 			if pass == st.donePasses {
 				st.donePasses++
-				st.committed = map[int]bool{}
+				st.committed = map[int]commitRec{}
 				st.intents = map[int]intent{}
 			}
 		case recIntent:
 			if pass == st.donePasses {
+				// A later intent supersedes an earlier commit: a
+				// resume rolled the unit back and was killed while
+				// re-executing it.
 				st.intents[unit] = intent{payloadOff: payloadOff, payloadLen: plen}
+				delete(st.committed, unit)
+				if pass == finalPass {
+					delete(st.finalSums, unit)
+				}
 			}
 		case recCommit:
 			if pass == st.donePasses {
-				st.committed[unit] = true
+				st.committed[unit] = commitRec{sum: commitSum, undo: st.intents[unit]}
 				delete(st.intents, unit)
 			}
 			if pass == finalPass {
-				var sb [8]byte
-				if _, err := io.ReadFull(io.NewSectionReader(b, payloadOff, 8), sb[:]); err == nil {
-					st.finalSums[unit] = binary.LittleEndian.Uint64(sb[:])
-				}
+				st.finalSums[unit] = commitSum
 			}
 		}
 		j.end = payloadOff + plen
@@ -212,23 +269,19 @@ func openJournal(b Backend, g journalGeom, finalPass int, ctr *counters) (*journ
 
 // append writes one record (header plus payload) at the cursor.
 func (j *journal) append(kind byte, pass, unit int, payload []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	var rh [recHeaderSize]byte
 	PutFrame(rh[:], Frame{
 		Kind:       kind,
 		Tag:        uint32(pass),
 		Unit:       uint64(unit),
 		PayloadLen: uint64(len(payload)),
-		PayloadSum: crc64.Checksum(payload, crcTab),
+		PayloadSum: crc32c(payload),
 		Gen:        j.runID,
 	})
-	//xpose:allow locksafe -- cursor reservation and record write are one atomic durability unit; concurrent appends must serialize through j.mu
 	if _, err := j.b.WriteAt(rh[:], j.end); err != nil {
 		return fmt.Errorf("ooc: journal append: %w", err)
 	}
 	if len(payload) > 0 {
-		//xpose:allow locksafe -- payload write belongs to the same reserved record; releasing j.mu here would interleave records
 		if _, err := j.b.WriteAt(payload, j.end+recHeaderSize); err != nil {
 			return fmt.Errorf("ooc: journal append: %w", err)
 		}
@@ -244,12 +297,13 @@ func (j *journal) intent(pass, unit int, undo []byte) error {
 	if err := j.append(recIntent, pass, unit, undo); err != nil {
 		return err
 	}
-	j.syncJournal()
-	return nil
+	return syncBackend(j.b, "journal")
 }
 
 // commit appends the post-write record carrying the transformed
-// segment's checksum.
+// segment's checksum. It is not synced: the next intent's sync, or the
+// pass barrier, makes it durable, and a resume re-checks it against the
+// data either way.
 func (j *journal) commit(pass, unit int, sum uint64) error {
 	var p [8]byte
 	binary.LittleEndian.PutUint64(p[:], sum)
@@ -262,13 +316,17 @@ func (j *journal) passDone(pass int) error {
 	if err := j.append(recPassDone, pass, 0, nil); err != nil {
 		return err
 	}
-	j.syncJournal()
-	return nil
+	return syncBackend(j.b, "journal")
 }
 
-// syncJournal flushes the journal backend when it supports it.
-func (j *journal) syncJournal() {
-	if s, ok := j.b.(syncer); ok {
-		_ = s.Sync()
+// syncBackend flushes b when it supports it. A failed sync fails the
+// run: the undo images and the pass barriers are only as durable as the
+// syncs behind them.
+func syncBackend(b Backend, what string) error {
+	if s, ok := b.(syncer); ok {
+		if err := s.Sync(); err != nil {
+			return fmt.Errorf("ooc: syncing %s: %w", what, err)
+		}
 	}
+	return nil
 }

@@ -1,161 +1,154 @@
 package ooc
 
-// The panel gather kernels. Each pass of the out-of-core schedule is a
-// pure gather from a resident source panel into a resident destination
-// panel — never in place — so the pipeline can overlap the backend I/O
-// of neighbouring segments with the transform, and the source panel
-// doubles as the journal's undo image for free.
+// The in-place panel kernels. Each pass of the out-of-core schedule
+// permutes every column (vertical passes) or every row (the row
+// shuffle) of the resident panel independently, so a worker moves one
+// line at a time: it gathers the column or row into its scratch line in
+// permuted order, then copies the line back. The panel is read, undo-
+// journaled, transformed and written from a single buffer, so resident
+// memory is one panel plus one line per worker.
 //
 // The kernels operate on raw bytes with a runtime element size, because
-// the backend is untyped storage; the element size is invariant across
-// the run, so each kernel carries a specialized inner loop for the
-// dominant 8-byte case (the compiler turns the constant-length copy
-// into a single load/store pair) and a generic loop for everything
-// else. All index algebra comes from the cr.Plan the schedule resolved,
-// including its strength-reduced dividers.
+// the backend is untyped storage. All index algebra comes from the
+// cr.Plan the schedule resolved; the per-element indices are stepped
+// incrementally rather than recomputed, so the inner loops carry no
+// division.
 
-// rotPanel applies a per-column rotation gather to panel columns
-// [lo, hi): dst column j becomes src column j shifted down by the
-// pass's rotation amount, modulo m (Equations 23, 32, 35 and 36,
-// depending on op). g is the panel geometry; the panel is row-packed
-// with g.ext columns per row.
+// move copies the e-byte element at src[so:] to dst[do:]. The element
+// size is invariant across a run, so the branch predicts perfectly, and
+// the constant-length copy of the dominant 8-byte case compiles to a
+// single load/store pair instead of a memmove call.
 //
 //xpose:hotpath
-func (s *schedule) rotPanel(dst, src []byte, g unitGeom, op passOp, lo, hi int) {
-	m, w, e := s.m, g.ext, s.elem
+func move(dst []byte, do int, src []byte, so, e int) {
+	if e == 8 {
+		copy(dst[do:do+8], src[so:so+8])
+		return
+	}
+	copy(dst[do:do+e], src[so:so+e])
+}
+
+// colPanel permutes panel columns [lo, hi) in place through line. g is
+// the panel geometry; the panel is row-packed with g.ext columns per
+// row, so column jj's element i lives at (i*g.ext+jj)*elem.
+//
+// The rotations (opRotPre, Equation 23; opRotNegPre, Equation 36) gather
+// row i from (i ± ⌊j/b⌋) mod m. The fused column shuffle gathers row i
+// of column j from s'_j(i) = (q(i) + j) mod m (opColC2R, Equations 26
+// and 33) — the rotation p_j and the row permute q in one move — and its
+// inverse scatters row i to that same index (opColR2C, Equations 34 and
+// 35). Along a column, q steps by n mod m per row, less one every a
+// rows.
+//
+//xpose:hotpath
+func (s *schedule) colPanel(buf, line []byte, g unitGeom, op passOp, lo, hi int) {
+	m, e := s.m, s.elem
+	stride := g.ext * e
 	divM := s.plan.DivM()
 	for jj := lo; jj < hi; jj++ {
 		j := g.lo + jj
-		var amt int
+		col := buf[jj*e:]
 		switch op {
-		case opRotPre:
-			amt = s.plan.Rot(j)
-		case opRotNegPre:
-			amt = -s.plan.Rot(j)
-		case opRotID:
-			amt = j
-		default: // opRotNegID
-			amt = -j
-		}
-		r := divM.SMod(amt)
-		if r == 0 {
-			// Unrotated column: straight copy.
-			if e == 8 {
-				for i := 0; i < m; i++ {
-					o := (i*w + jj) * 8
-					copy(dst[o:o+8], src[o:o+8])
-				}
-			} else {
-				for i := 0; i < m; i++ {
-					o := (i*w + jj) * e
-					copy(dst[o:o+e], src[o:o+e])
-				}
+		case opRotPre, opRotNegPre:
+			r := s.plan.Rot(j)
+			if op == opRotNegPre {
+				r = -r
 			}
-			continue
-		}
-		if e == 8 {
+			si := divM.SMod(r)
+			if si == 0 {
+				continue // unrotated column
+			}
 			for i := 0; i < m; i++ {
-				si := i + r
-				if si >= m {
-					si -= m
+				move(line, i*e, col, si*stride, e)
+				if si++; si == m {
+					si = 0
 				}
-				do := (i*w + jj) * 8
-				so := (si*w + jj) * 8
-				copy(dst[do:do+8], src[so:so+8])
 			}
-		} else {
+		default: // opColC2R, opColR2C
+			src := divM.Mod(j) // s'_j(0) = j mod m
+			a, ai := s.plan.A, 0
 			for i := 0; i < m; i++ {
-				si := i + r
-				if si >= m {
-					si -= m
+				if op == opColC2R {
+					move(line, i*e, col, src*stride, e) // line[i] = col[s'_j(i)]
+				} else {
+					move(line, src*e, col, i*stride, e) // line[s'_j(i)] = col[i]
 				}
-				do := (i*w + jj) * e
-				so := (si*w + jj) * e
-				copy(dst[do:do+e], src[so:so+e])
+				src += s.nm
+				if ai++; ai == a {
+					ai = 0
+					src--
+				}
+				if src >= m {
+					src -= m
+				} else if src < 0 {
+					src += m
+				}
 			}
+		}
+		for i := 0; i < m; i++ {
+			move(col, i*stride, line, i*e, e)
 		}
 	}
 }
 
-// permPanel applies the shared row permutation to panel rows [lo, hi):
-// dst row i is src row q(i) (opPermQ, Equation 33) or q⁻¹(i)
-// (opPermQInv, Equation 34). Because the permutation is identical for
-// every column, a panel of any width permutes independently — this is
-// the §4.7 whole-sub-row row permute with the sub-row width set to the
-// segment width.
+// rowPanel applies the row shuffle in place to panel rows [lo, hi)
+// through line: R2C gathers element j of global row i from d'_i(j)
+// (opShuffleR2C, Equation 24); C2R scatters element j to d'_i(j), which
+// is the gather through d'^{-1}_i (opShuffleC2R, Equation 31) without
+// its divisions. Horizontal panels hold g.ext full rows of n elements.
+//
+// d'_i(j) = ((i + ⌊j/b⌋) mod m + j·m) mod n is stepped along the row:
+// j·m mod n grows by m mod n per element, and the rotation term grows by
+// one every b elements.
 //
 //xpose:hotpath
-func (s *schedule) permPanel(dst, src []byte, g unitGeom, op passOp, lo, hi int) {
-	rb := g.ext * s.elem
-	if op == opPermQ {
-		for i := lo; i < hi; i++ {
-			qi := s.plan.Q(i)
-			copy(dst[i*rb:(i+1)*rb], src[qi*rb:qi*rb+rb])
+func (s *schedule) rowPanel(buf, line []byte, g unitGeom, op passOp, lo, hi int) {
+	m, n, e := s.m, s.n, s.elem
+	divM, divN := s.plan.DivM(), s.plan.DivN()
+	mn := divN.Mod(m)
+	b := s.plan.B
+	rb := n * e
+	for ii := lo; ii < hi; ii++ {
+		row := buf[ii*rb : ii*rb+rb]
+		rot := divM.Mod(g.lo + ii) // (i + ⌊j/b⌋) mod m at j = 0
+		jm, bi := 0, 0             // j·m mod n; j mod b
+		for j := 0; j < n; j++ {
+			d := rot + jm
+			if d >= n {
+				d = divN.Mod(d)
+			}
+			if op == opShuffleR2C {
+				move(line, j*e, row, d*e, e)
+			} else {
+				move(line, d*e, row, j*e, e)
+			}
+			if jm += mn; jm >= n {
+				jm -= n
+			}
+			if bi++; bi == b {
+				bi = 0
+				if rot++; rot == m {
+					rot = 0
+				}
+			}
 		}
+		copy(row, line[:rb])
+	}
+}
+
+// transform permutes one resident panel in place, splitting its
+// columns (vertical passes) or rows (the row shuffle) across the
+// workers; worker w moves its lines through lines[w].
+func (s *schedule) transform(p pass, g unitGeom, buf []byte, lines [][]byte, pf parallelFor) {
+	if p.kind == passVertical {
+		pf(g.ext, func(w, lo, hi int) { s.colPanel(buf, lines[w], g, p.op, lo, hi) })
 		return
 	}
-	for i := lo; i < hi; i++ {
-		qi := s.plan.QInv(i)
-		copy(dst[i*rb:(i+1)*rb], src[qi*rb:qi*rb+rb])
-	}
-}
-
-// shufflePanel applies the row shuffle to panel rows [lo, hi): each
-// resident row (global row index g.lo+ii) is gathered through the
-// closed-form inverse d'^{-1} for C2R (opShuffleC2R, Equation 31) or
-// through d' for R2C (opShuffleR2C, Equation 24). Horizontal panels
-// hold g.ext full rows of n elements.
-//
-//xpose:hotpath
-func (s *schedule) shufflePanel(dst, src []byte, g unitGeom, op passOp, lo, hi int) {
-	n, e := s.n, s.elem
-	c2r := op == opShuffleC2R
-	for ii := lo; ii < hi; ii++ {
-		gi := g.lo + ii
-		rowOff := ii * n
-		if e == 8 {
-			for j := 0; j < n; j++ {
-				var sj int
-				if c2r {
-					sj = s.plan.DPrimeInv(gi, j)
-				} else {
-					sj = s.plan.DPrime(gi, j)
-				}
-				do := (rowOff + j) * 8
-				so := (rowOff + sj) * 8
-				copy(dst[do:do+8], src[so:so+8])
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				var sj int
-				if c2r {
-					sj = s.plan.DPrimeInv(gi, j)
-				} else {
-					sj = s.plan.DPrime(gi, j)
-				}
-				do := (rowOff + j) * e
-				so := (rowOff + sj) * e
-				copy(dst[do:do+e], src[so:so+e])
-			}
-		}
-	}
-}
-
-// transform runs the pass's gather for one resident panel, splitting
-// the independent dimension (columns for rotations, rows for the row
-// permute and the row shuffle) across the worker pool.
-func (s *schedule) transform(p pass, g unitGeom, dst, src []byte, pf parallelFor) {
-	switch p.op {
-	case opRotPre, opRotNegPre, opRotID, opRotNegID:
-		pf(g.ext, func(lo, hi int) { s.rotPanel(dst, src, g, p.op, lo, hi) })
-	case opPermQ, opPermQInv:
-		pf(s.m, func(lo, hi int) { s.permPanel(dst, src, g, p.op, lo, hi) })
-	default: // opShuffleC2R, opShuffleR2C
-		pf(g.ext, func(lo, hi int) { s.shufflePanel(dst, src, g, p.op, lo, hi) })
-	}
+	pf(g.ext, func(w, lo, hi int) { s.rowPanel(buf, lines[w], g, p.op, lo, hi) })
 }
 
 // parallelFor splits [0, n) across workers and blocks until every chunk
-// ran. The runner provides either an inline implementation (one worker)
-// or a dispatch onto the shared persistent pool.
-type parallelFor func(n int, body func(lo, hi int))
+// ran, passing each chunk its worker index. The runner provides either
+// an inline implementation (one worker) or a dispatch onto the shared
+// persistent pool.
+type parallelFor func(n int, body func(worker, lo, hi int))

@@ -2,35 +2,36 @@
 // than in memory: any io.ReaderAt+io.WriterAt backend, under a caller-
 // specified scratch-memory budget.
 //
-// The engine is the paper's three-pass C2R/R2C decomposition lifted
-// from cache blocks to storage segments. Every pass of the in-memory
-// cache-aware pipeline — column pre-rotation, row shuffle, the column
-// shuffle factored into a column rotation and a shared row permutation
-// (Equations 23–35) — touches the flat buffer along only one axis, so
-// each becomes a schedule of independent panels: vertical panels
-// (full-height column slabs) for the rotation and row-permute passes,
-// horizontal panels (runs of full rows) for the row shuffle. Theorem 7's
-// linearization independence is what makes the segment boundaries
-// arbitrary: the permutation algebra never couples two panels of the
-// same pass. A panel of minimum width is one full column or one full
-// row, so the budget floor is 2·max(m,n) elements — the decomposition's
-// O(max(m,n)) auxiliary bound, made literal as a hard memory ceiling.
+// The engine is the paper's C2R/R2C decomposition lifted from cache
+// blocks to storage segments. Every pass — column pre-rotation, row
+// shuffle and the column shuffle s'_j (Equation 26) — touches the flat
+// buffer along only one axis, so each becomes a schedule of independent
+// panels: vertical panels (full-height column slabs) for the rotation
+// and the column shuffle, horizontal panels (runs of full rows) for the
+// row shuffle. The column shuffle runs as one gather per column instead
+// of the in-memory engine's rotation plus row permute (Equations
+// 32–35), so a run makes three passes over the file for non-coprime
+// shapes and two for coprime ones. Theorem 7's linearization
+// independence is what makes the segment boundaries arbitrary: the
+// permutation algebra never couples two panels of the same pass.
 //
-// Each pass runs as a three-stage pipeline: an async prefetch reader
-// fills source panels, transform workers gather them into destination
-// panels on the process-wide worker pool, and a double-buffered writer
-// puts panels back with adjacent spans combined into single backend
-// calls. With an optional journal, every segment write is preceded by a
-// durable undo image and followed by a checksummed commit record, so a
-// run killed at any point resumes to the bit-identical result.
+// Each pass is a sequential loop over its panels with a single panel
+// buffer: read the panel, journal its undo image, permute it in place
+// (every column or row through a per-worker scratch line, the lines
+// split across the process-wide worker pool), write it back with
+// adjacent spans combined into single backend calls, and commit. A
+// panel of minimum width is one full column or one full row, so the
+// budget floor — one such panel plus one line — is 2·max(m,n) elements:
+// the decomposition's O(max(m,n)) auxiliary bound, made literal as a
+// hard memory ceiling. With an optional journal, every segment write is
+// preceded by a durable undo image and followed by a CRC32C-checksummed
+// commit record, so a run killed at any point resumes to the
+// bit-identical result.
 package ooc
 
 import (
 	"fmt"
-	"hash/crc64"
-	"sync"
 
-	"inplace/internal/arena"
 	"inplace/internal/parallel"
 )
 
@@ -55,40 +56,43 @@ func Run(data Backend, cfg Config) (_ Stats, err error) {
 	// Fold this run's counters into the process-wide registry aggregates
 	// on every exit path (identity no-ops and config errors excluded).
 	defer func() { r.ctr.publish(err != nil) }()
-	r.pf = func(n int, body func(lo, hi int)) { body(0, n) }
-	if sched.workers > 1 {
-		pool := parallel.Shared()
-		workers := sched.workers
-		r.pf = func(n int, body func(lo, hi int)) {
-			pool.For(n, workers, func(_, lo, hi int) { body(lo, hi) })
-		}
-	}
 
-	// The buffer ring: one source/destination pair per in-flight
-	// segment. This plus per-pass bookkeeping is the engine's entire
-	// resident footprint.
-	bufs := arena.Slab[byte](2*sched.depth, int(sched.unitBytes))
-	r.pairs = make(chan *pair, sched.depth)
-	for i := 0; i < sched.depth; i++ {
-		r.pairs <- &pair{src: bufs[2*i], dst: bufs[2*i+1]}
-	}
-	r.ctr.peakResident.Observe(uint64(2*sched.depth) * uint64(sched.unitBytes))
-
-	st := &resumeState{committed: map[int]bool{}, intents: map[int]intent{}, finalSums: map[int]uint64{}}
+	st := &resumeState{committed: map[int]commitRec{}, intents: map[int]intent{}, finalSums: map[int]uint64{}}
 	finalPass := len(sched.passes) - 1
 	if cfg.Journal != nil {
-		g := sched.geom(cfg.Rows, cfg.Cols)
 		if cfg.Resume {
-			r.jrn, st, err = openJournal(cfg.Journal, g, finalPass, &r.ctr)
+			r.jrn, st, err = openJournal(cfg.Journal, sched, cfg, &r.ctr)
 		} else {
-			r.jrn, err = newJournal(cfg.Journal, g, &r.ctr)
+			r.jrn, err = newJournal(cfg.Journal, sched.geom(cfg.Rows, cfg.Cols), &r.ctr)
 		}
 		if err != nil {
 			return r.ctr.snapshot(0), err
 		}
 	}
 
-	if len(st.intents) > 0 {
+	// One panel buffer and one scratch line per worker: the engine's
+	// entire resident footprint, apart from per-pass bookkeeping. A
+	// resume may have changed both, so they are sized only now.
+	unit, line := int(sched.unitBytes), sched.lineBytes
+	scratch := make([]byte, unit+sched.workers*line)
+	r.panel = scratch[:unit:unit]
+	r.lines = make([][]byte, sched.workers)
+	for w := range r.lines {
+		off := unit + w*line
+		r.lines[w] = scratch[off : off+line : off+line]
+	}
+	r.ctr.peakResident.Observe(uint64(len(scratch)))
+	r.pf = func(n int, body func(worker, lo, hi int)) { body(0, 0, n) }
+	if sched.workers > 1 {
+		pool := parallel.Shared()
+		workers := sched.workers
+		r.pf = func(n int, body func(worker, lo, hi int)) { pool.For(n, workers, body) }
+	}
+
+	if st.donePasses < len(sched.passes) {
+		if err := r.recheckCommits(sched.passes[st.donePasses], st); err != nil {
+			return r.ctr.snapshot(0), err
+		}
 		if err := r.restoreIntents(sched.passes[st.donePasses], st); err != nil {
 			return r.ctr.snapshot(0), err
 		}
@@ -96,7 +100,7 @@ func Run(data Backend, cfg Config) (_ Stats, err error) {
 
 	sums := st.finalSums
 	for pi := st.donePasses; pi < len(sched.passes); pi++ {
-		var skip map[int]bool
+		var skip map[int]commitRec
 		if pi == st.donePasses {
 			skip = st.committed
 		}
@@ -108,8 +112,8 @@ func Run(data Backend, cfg Config) (_ Stats, err error) {
 			return r.ctr.snapshot(pi), err
 		}
 		if r.jrn != nil {
-			if s, ok := r.data.(syncer); ok {
-				_ = s.Sync()
+			if err := syncBackend(r.data, "data"); err != nil {
+				return r.ctr.snapshot(pi), err
 			}
 			if err := r.jrn.passDone(pi); err != nil {
 				return r.ctr.snapshot(pi), err
@@ -132,138 +136,65 @@ type runner struct {
 	data  Backend
 	jrn   *journal
 	ctr   counters
-	pairs chan *pair
+	panel []byte   // the resident panel: read, undo image, transform, write
+	lines [][]byte // one scratch line per transform worker
 	pf    parallelFor
 }
 
-// pair is one in-flight segment's buffers: the prefetched source panel
-// (which doubles as the journal undo image) and the gathered
-// destination panel.
-type pair struct {
-	src, dst []byte
-}
-
-// work is one segment moving through the pipeline.
-type work struct {
-	u  int
-	g  unitGeom
-	pr *pair
-}
-
-// runPass executes one pass's segment schedule through the three-stage
-// pipeline. skip marks units the journal proved committed; sums, when
-// non-nil, collects the per-unit checksums of the final pass.
-func (r *runner) runPass(pi int, p pass, skip map[int]bool, sums map[int]uint64) error {
-	toT := make(chan *work, r.sched.depth)
-	toW := make(chan *work, r.sched.depth)
-	done := make(chan struct{})
-	var failErr error
-	var failOnce sync.Once
-	fail := func(err error) {
-		// First failure wins; closing done stops the producer.
-		failOnce.Do(func() {
-			failErr = err
-			close(done)
-		})
-	}
-
-	var readerDone, writerDone = make(chan struct{}), make(chan struct{})
-
-	// Stage 1: prefetch reader.
-	go func() {
-		defer close(readerDone)
-		defer close(toT)
-		for u := 0; u < p.units; u++ {
-			if skip[u] {
-				r.ctr.segmentsSkipped.Inc()
-				continue
-			}
-			g := r.sched.unit(p, u)
-			var pr *pair
-			select {
-			case pr = <-r.pairs:
-			case <-done:
-				return
-			}
-			if err := r.readUnit(g, pr.src[:r.sched.bytes(g)]); err != nil {
-				r.pairs <- pr
-				fail(err)
-				return
-			}
-			select {
-			case toT <- &work{u: u, g: g, pr: pr}:
-			case <-done:
-				r.pairs <- pr
-				return
+// runPass executes one pass's segment schedule. skip holds units the
+// journal proved committed; sums, when non-nil, collects the per-unit
+// checksums of the final pass.
+func (r *runner) runPass(pi int, p pass, skip map[int]commitRec, sums map[int]uint64) error {
+	for u := 0; u < p.units; u++ {
+		if _, ok := skip[u]; ok {
+			r.ctr.segmentsSkipped.Inc()
+			continue
+		}
+		g := r.sched.unit(p, u)
+		buf := r.panel[:r.sched.bytes(g)]
+		if err := r.readUnit(g, buf); err != nil {
+			return err
+		}
+		// The undo image must be durable before the region is
+		// overwritten; intent syncs the journal.
+		if r.jrn != nil {
+			if err := r.jrn.intent(pi, u, buf); err != nil {
+				return err
 			}
 		}
-	}()
-
-	// Stage 3: double-buffered writer. It keeps draining after a
-	// failure so the transform stage never blocks on a full channel.
-	go func() {
-		defer close(writerDone)
-		for w := range toW {
-			select {
-			case <-done:
-				r.pairs <- w.pr
-				continue
-			default:
-			}
-			if err := r.writeOne(pi, w, sums); err != nil {
-				fail(err)
-			}
-			r.pairs <- w.pr
-		}
-	}()
-
-	// Stage 2: transform, on the calling goroutine, fanning each panel
-	// across the worker pool.
-	for {
-		var w *work
-		var ok bool
-		select {
-		case w, ok = <-toT:
-			if ok {
-				r.ctr.prefetchHits.Inc()
-			}
-		default:
-			r.ctr.prefetchMisses.Inc()
-			w, ok = <-toT
-		}
-		if !ok {
-			break
-		}
-		nb := r.sched.bytes(w.g)
-		r.sched.transform(p, w.g, w.pr.dst[:nb], w.pr.src[:nb], r.pf)
+		r.sched.transform(p, g, buf, r.lines, r.pf)
 		r.ctr.segmentsTransformed.Inc()
-		toW <- w
+		if err := r.writeUnit(g, buf); err != nil {
+			return err
+		}
+		if r.jrn != nil {
+			sum := crc32c(buf)
+			if sums != nil {
+				sums[u] = sum
+			}
+			if err := r.jrn.commit(pi, u, sum); err != nil {
+				return err
+			}
+		}
 	}
-	close(toW)
-	<-readerDone
-	<-writerDone
-	return failErr
+	return nil
 }
 
-// writeOne journals the undo image, writes the transformed panel back,
-// and commits it with its checksum.
-func (r *runner) writeOne(pi int, w *work, sums map[int]uint64) error {
-	nb := r.sched.bytes(w.g)
-	if r.jrn != nil {
-		if err := r.jrn.intent(pi, w.u, w.pr.src[:nb]); err != nil {
+// recheckCommits re-checksums every committed unit of the interrupted
+// pass. Data is synced only at pass end, so a commit record can be
+// durable over data that never reached the backend; such a unit is
+// moved back to the intents, to be rolled back from its undo image and
+// re-executed.
+func (r *runner) recheckCommits(p pass, st *resumeState) error {
+	for u, c := range st.committed {
+		g := r.sched.unit(p, u)
+		buf := r.panel[:r.sched.bytes(g)]
+		if err := r.readUnit(g, buf); err != nil {
 			return err
 		}
-	}
-	if err := r.writeUnit(w.g, w.pr.dst[:nb]); err != nil {
-		return err
-	}
-	if r.jrn != nil {
-		sum := crc64.Checksum(w.pr.dst[:nb], crcTab)
-		if sums != nil {
-			sums[w.u] = sum
-		}
-		if err := r.jrn.commit(pi, w.u, sum); err != nil {
-			return err
+		if crc32c(buf) != c.sum {
+			st.intents[u] = c.undo // restoreIntents rejects a missing image
+			delete(st.committed, u)
 		}
 	}
 	return nil
@@ -274,18 +205,17 @@ func (r *runner) writeOne(pi int, w *work, sums map[int]uint64) error {
 // exact pre-segment state so re-execution reproduces the committed
 // result.
 func (r *runner) restoreIntents(p pass, st *resumeState) error {
-	pr := <-r.pairs
-	defer func() { r.pairs <- pr }()
 	for u, it := range st.intents {
 		g := r.sched.unit(p, u)
 		nb := r.sched.bytes(g)
 		if it.payloadLen != int64(nb) {
 			return fmt.Errorf("%w: undo image for unit %d is %d bytes, want %d", ErrJournalCorrupt, u, it.payloadLen, nb)
 		}
-		if err := r.readFull(r.cfg.Journal, pr.src[:nb], it.payloadOff); err != nil {
+		buf := r.panel[:nb]
+		if err := r.readFull(r.cfg.Journal, buf, it.payloadOff); err != nil {
 			return err
 		}
-		if err := r.writeUnit(g, pr.src[:nb]); err != nil {
+		if err := r.writeUnit(g, buf); err != nil {
 			return err
 		}
 		r.ctr.segmentsRestored.Inc()
@@ -296,19 +226,17 @@ func (r *runner) restoreIntents(p pass, st *resumeState) error {
 // verifyFinal re-reads every segment of the final pass and checks it
 // against the checksum committed in the journal.
 func (r *runner) verifyFinal(p pass, sums map[int]uint64) error {
-	pr := <-r.pairs
-	defer func() { r.pairs <- pr }()
 	for u := 0; u < p.units; u++ {
 		g := r.sched.unit(p, u)
-		nb := r.sched.bytes(g)
+		buf := r.panel[:r.sched.bytes(g)]
 		want, ok := sums[u]
 		if !ok {
 			return fmt.Errorf("%w: no commit checksum for final-pass unit %d", ErrJournalCorrupt, u)
 		}
-		if err := r.readUnit(g, pr.src[:nb]); err != nil {
+		if err := r.readUnit(g, buf); err != nil {
 			return err
 		}
-		if got := crc64.Checksum(pr.src[:nb], crcTab); got != want {
+		if got := crc32c(buf); got != want {
 			return corruptSegmentErr(len(r.sched.passes)-1, u, want, got)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // Backend is the storage a matrix is transposed on: random-access reads
-// and writes, with no seek state shared between the pipeline stages.
+// and writes, with no seek state.
 // *os.File satisfies it; so does any object store adapter exposing
 // ranged reads and writes.
 type Backend interface {
@@ -18,9 +18,12 @@ type Backend interface {
 }
 
 // syncer is the optional durability upgrade of a Backend or Journal
-// backend. When the data backend implements it, the engine syncs written
-// segments before committing them to the journal, making the commit
-// record a true write-ahead barrier.
+// backend. When the data backend implements it, the engine syncs the
+// data at the end of every pass, before the pass-done record makes the
+// pass durable in the journal. Segment commits inside a pass are not
+// preceded by a data sync: a resume re-checksums every committed segment
+// of the interrupted pass against its commit record and rolls back and
+// re-executes any whose data did not survive.
 type syncer interface {
 	Sync() error
 }
@@ -31,26 +34,24 @@ type Config struct {
 	// backend: Rows*Cols elements of ElemSize bytes each.
 	Rows, Cols, ElemSize int
 
-	// Budget is the scratch-memory ceiling in bytes. The engine sizes
-	// its segment schedule so that all resident panels together stay
-	// within it; the floor is 2*max(Rows,Cols)*ElemSize (one source and
-	// one destination panel of minimum width — the decomposition's
-	// O(max(m,n)) auxiliary bound made literal).
+	// Budget is the scratch-memory ceiling in bytes. The engine holds
+	// one panel plus one scratch line of max(Rows,Cols)*ElemSize bytes
+	// per transform worker, and sizes both to stay within it; the floor
+	// is 2*max(Rows,Cols)*ElemSize (one panel of minimum width and one
+	// line — the decomposition's O(max(m,n)) auxiliary bound made
+	// literal).
 	Budget int64
 
 	// Workers is the transform parallelism within a resident panel;
-	// 0 means GOMAXPROCS. Workers dispatch onto the process-wide
-	// persistent pool (internal/parallel.Shared).
+	// 0 means GOMAXPROCS. It is clamped so every worker's scratch line
+	// fits the budget next to the panel. Workers dispatch onto the
+	// process-wide persistent pool (internal/parallel.Shared).
 	Workers int
 
-	// Depth is the pipeline depth: how many segments may be in flight
-	// across the prefetch/transform/write stages at once. 0 picks 3
-	// (one per stage), degraded automatically when the budget is tight.
-	Depth int
-
-	// SegmentBytes overrides the derived segment size; 0 derives it
-	// from Budget and Depth. Values below the schedule floor are
-	// raised; values that would burst the budget shrink the depth.
+	// SegmentBytes overrides the derived panel size; 0 derives it as
+	// Budget minus the workers' scratch lines. Values below the
+	// schedule floor are raised; values that would burst the budget
+	// shrink the workers, then the segment.
 	SegmentBytes int64
 
 	// Dir forces the C2R (DirC2R) or R2C (DirR2C) formulation; DirAuto
@@ -63,8 +64,9 @@ type Config struct {
 	Journal Backend
 
 	// Resume replays the journal instead of starting fresh: committed
-	// segments are skipped, in-flight segments are rolled back from
-	// their undo images and re-executed. Requires Journal.
+	// segments whose data still matches their commit checksum are
+	// skipped, the others and every in-flight segment are rolled back
+	// from their undo images and re-executed. Requires Journal.
 	Resume bool
 
 	// Verify re-reads every segment of the final pass after completion
@@ -110,24 +112,21 @@ const (
 	passHorizontal
 )
 
-// passOp identifies the gather a pass applies to each resident panel.
-// The numeric values are stable: they are part of the journal's schedule
-// fingerprint.
+// passOp identifies the permutation a pass applies to each resident
+// panel.
 type passOp uint8
 
 const (
 	opRotPre     passOp = iota + 1 // column j rotated by +⌊j/b⌋ (Eq. 23)
-	opRotID                        // column j rotated by +j (Eq. 32)
-	opRotNegID                     // column j rotated by -j (Eq. 35)
 	opRotNegPre                    // column j rotated by -⌊j/b⌋ (Eq. 36)
-	opShuffleC2R                   // row i gathered through d'^{-1}_i (Eq. 31)
+	opShuffleC2R                   // row i permuted through d'_i (Eq. 31)
 	opShuffleR2C                   // row i gathered through d'_i (Eq. 24)
-	opPermQ                        // row i gathered from row q(i) (Eq. 33)
-	opPermQInv                     // row i gathered from row q^{-1}(i) (Eq. 34)
+	opColC2R                       // column j gathered through s'_j (Eq. 26)
+	opColR2C                       // column j permuted through s'_j⁻¹ (Eqs. 34, 35)
 )
 
 // pass is one file-scope permutation pass: a panel orientation, a
-// gather, and a unit count derived from the panel width.
+// permutation, and a unit count derived from the panel width.
 type pass struct {
 	kind  passKind
 	op    passOp
@@ -136,11 +135,12 @@ type pass struct {
 
 // schedule is the resolved execution plan of one out-of-core run: the
 // cr.Plan index algebra, the byte geometry, the budget-derived panel
-// widths and the pass sequence. It is the exact out-of-core analogue of
-// the in-memory Schedule: the three-pass decomposition (pre-rotation,
-// row shuffle, column shuffle factored into rotation and row permute)
-// lifted from cache blocks to storage segments, which Theorem 7's
-// linearization independence makes legal.
+// widths and the pass sequence. It lifts the decomposition from cache
+// blocks to storage segments, which Theorem 7's linearization
+// independence makes legal: pre-rotation, row shuffle and the column
+// shuffle s'_j as one gather per column. The in-memory engine factors
+// s'_j into a rotation and a row permute (Equations 32–35) for cache
+// locality; on storage that factoring would cost a whole extra pass.
 type schedule struct {
 	plan *cr.Plan
 	elem int
@@ -150,12 +150,13 @@ type schedule struct {
 	// m×n row-major grid for every pass, in both directions (the
 	// decomposition never changes the linearization mid-run).
 	m, n int
+	nm   int // n mod m: the per-row step of the column shuffle's source row
 
 	vw int // vertical panel width in columns (>= 1)
 	hh int // horizontal panel height in rows (>= 1)
 
-	unitBytes int64 // largest panel byte size; ring buffers are this big
-	depth     int
+	unitBytes int64 // largest panel byte size; the panel buffer is this big
+	lineBytes int   // one worker's scratch line: max(m,n)*elem
 	workers   int
 
 	passes []pass
@@ -163,8 +164,8 @@ type schedule struct {
 	identity bool // degenerate shapes: the transpose is a no-op
 }
 
-// minBudget returns the schedule floor for a shape: one source and one
-// destination panel of minimum width.
+// minBudget returns the schedule floor for a shape: one panel of
+// minimum width and one scratch line.
 func minBudget(rows, cols, elem int) (int64, bool) {
 	maxDim := rows
 	if cols > maxDim {
@@ -217,6 +218,7 @@ func newSchedule(cfg Config) (*schedule, error) {
 		s.plan = cr.NewPlan(cols, rows)
 	}
 	s.m, s.n = s.plan.M, s.plan.N
+	s.nm = s.plan.DivM().Mod(s.n)
 
 	floor, ok := minBudget(rows, cols, elem)
 	if !ok {
@@ -226,84 +228,107 @@ func newSchedule(cfg Config) (*schedule, error) {
 		return nil, budgetErr(cfg.Budget, floor)
 	}
 
-	// Resolve depth and segment size against the budget: 2*depth
-	// panels are resident at once (a source/destination pair per
-	// in-flight segment), so segBytes <= budget/(2*depth). When the
-	// budget cannot hold a full pipeline of minimum-width panels, the
-	// depth degrades toward sequential execution instead of failing.
-	depth := cfg.Depth
-	if depth <= 0 {
-		depth = 3
+	// Resolve workers and segment size against the budget: one panel
+	// plus one line per worker is resident, so seg + workers*line <=
+	// budget. The floor leaves room for exactly one minimum panel (one
+	// full column or row, which is at most a line) and one line.
+	line := floor / 2
+	s.lineBytes = int(line)
+	seg := line // a derived segment takes what the workers leave
+	if cfg.SegmentBytes > 0 {
+		seg = min(max(cfg.SegmentBytes, line), cfg.Budget-line)
 	}
-	panelFloor := floor / 2 // one panel of minimum width
-	for depth > 1 && cfg.Budget/int64(2*depth) < panelFloor {
-		depth--
+	s.workers = int(min(int64(s.workers), (cfg.Budget-seg)/line))
+	if cfg.SegmentBytes <= 0 {
+		seg = cfg.Budget - int64(s.workers)*line
 	}
-	seg := cfg.SegmentBytes
-	if seg <= 0 {
-		seg = cfg.Budget / int64(2*depth)
-	}
-	if seg < panelFloor {
-		seg = panelFloor
-	}
-	for depth > 1 && seg > cfg.Budget/int64(2*depth) {
-		depth--
-	}
-	if seg > cfg.Budget/2 {
-		seg = cfg.Budget / 2
-	}
-	s.depth = depth
-
-	// Panel widths from the segment size. Both divisions are exact
-	// integer floors and both floors are >= 1 by the budget check.
-	s.vw = clampDim(seg/int64(s.m*elem), s.n)
-	s.hh = clampDim(seg/int64(s.n*elem), s.m)
-
-	vBytes := int64(s.m) * int64(s.vw) * int64(elem)
-	hBytes := int64(s.hh) * int64(s.n) * int64(elem)
-	s.unitBytes = vBytes
-	if hBytes > s.unitBytes {
-		s.unitBytes = hBytes
-	}
-
-	vUnits := (s.n + s.vw - 1) / s.vw
-	hUnits := (s.m + s.hh - 1) / s.hh
 
 	if s.c2r {
 		if !s.plan.Coprime {
-			s.passes = append(s.passes, pass{passVertical, opRotPre, vUnits})
+			s.passes = append(s.passes, pass{kind: passVertical, op: opRotPre})
 		}
 		s.passes = append(s.passes,
-			pass{passHorizontal, opShuffleC2R, hUnits},
-			pass{passVertical, opRotID, vUnits},
-			pass{passVertical, opPermQ, vUnits},
+			pass{kind: passHorizontal, op: opShuffleC2R},
+			pass{kind: passVertical, op: opColC2R},
 		)
 	} else {
 		s.passes = append(s.passes,
-			pass{passVertical, opPermQInv, vUnits},
-			pass{passVertical, opRotNegID, vUnits},
-			pass{passHorizontal, opShuffleR2C, hUnits},
+			pass{kind: passVertical, op: opColR2C},
+			pass{kind: passHorizontal, op: opShuffleR2C},
 		)
 		if !s.plan.Coprime {
-			s.passes = append(s.passes, pass{passVertical, opRotNegPre, vUnits})
+			s.passes = append(s.passes, pass{kind: passVertical, op: opRotNegPre})
 		}
 	}
+	// Panel widths from the segment size. Both divisions are exact
+	// integer floors and both floors are >= 1 by the budget check.
+	s.setPanels(clampDim(seg/int64(s.m*elem), s.n), clampDim(seg/int64(s.n*elem), s.m))
 	return s, nil
+}
+
+// setPanels fixes the panel widths and derives the panel buffer size
+// and every pass's unit count from them.
+func (s *schedule) setPanels(vw, hh int) {
+	s.vw, s.hh = vw, hh
+	vBytes := int64(s.m) * int64(vw) * int64(s.elem)
+	hBytes := int64(hh) * int64(s.n) * int64(s.elem)
+	s.unitBytes = max(vBytes, hBytes)
+	for i := range s.passes {
+		if s.passes[i].kind == passVertical {
+			s.passes[i].units = (s.n + vw - 1) / vw
+		} else {
+			s.passes[i].units = (s.m + hh - 1) / hh
+		}
+	}
+}
+
+// adoptPanels switches the schedule to the panel widths a resumed
+// journal recorded. They differ from the derived ones when the worker
+// count changed since the journal was written (the segment is what the
+// workers' lines leave of the budget); the recorded panel wins and the
+// workers are clamped again so it and their lines fit the budget.
+func (s *schedule) adoptPanels(vw, hh int, budget int64) error {
+	if vw == s.vw && hh == s.hh {
+		return nil
+	}
+	if vw < 1 || vw > s.n {
+		return mismatchErr("segment_cols", int64(vw), int64(s.vw))
+	}
+	if hh < 1 || hh > s.m {
+		return mismatchErr("segment_rows", int64(hh), int64(s.hh))
+	}
+	s.setPanels(vw, hh)
+	fit := (budget - s.unitBytes) / int64(s.lineBytes)
+	if fit < 1 {
+		return mismatchErr("segment_bytes", s.unitBytes, budget-int64(s.lineBytes))
+	}
+	s.workers = int(min(int64(s.workers), fit))
+	return nil
 }
 
 // Validate resolves the full segment schedule for cfg without running
 // it, surfacing every configuration error Run would.
 func Validate(cfg Config) error {
-	_, err := newSchedule(cfg)
-	if err == nil && cfg.Journal == nil && (cfg.Resume || cfg.Verify) {
-		return ErrNoJournal
-	}
+	_, _, err := Resolve(cfg)
 	return err
 }
 
+// Resolve validates cfg like Validate and returns the panel buffer size
+// and the transform worker count the schedule derives for it.
+func Resolve(cfg Config) (panelBytes int64, workers int, err error) {
+	s, err := newSchedule(cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	if cfg.Journal == nil && (cfg.Resume || cfg.Verify) {
+		return 0, 0, ErrNoJournal
+	}
+	return s.unitBytes, s.workers, nil
+}
+
 // MinBudget returns the smallest legal Config.Budget for a shape:
-// 2*max(rows,cols)*elem bytes (one source and one destination panel of
-// minimum width). ok is false when that product overflows.
+// 2*max(rows,cols)*elem bytes (one panel of minimum width and one
+// scratch line). ok is false when that product overflows.
 func MinBudget(rows, cols, elem int) (int64, bool) {
 	if rows <= 0 || cols <= 0 || elem <= 0 {
 		return 0, false

@@ -4,7 +4,7 @@ import "inplace/internal/stats"
 
 // counters is the live metering surface of one run, built on the same
 // internal/stats primitives the in-memory planner cache counters use.
-// All fields are safe for concurrent update from the pipeline stages.
+// All fields are safe for concurrent update.
 type counters struct {
 	bytesRead    stats.Counter
 	bytesWritten stats.Counter
@@ -15,9 +15,6 @@ type counters struct {
 	segmentsTransformed stats.Counter
 	segmentsSkipped     stats.Counter // committed in the journal before this run
 	segmentsRestored    stats.Counter // undo images replayed on resume
-
-	prefetchHits   stats.Counter
-	prefetchMisses stats.Counter
 
 	journalBytes stats.Counter
 	peakResident stats.Gauge
@@ -43,8 +40,9 @@ type Stats struct {
 	SegmentsSkipped     uint64
 	SegmentsRestored    uint64
 
-	// PrefetchHits counts transform-stage pulls satisfied without
-	// waiting on the reader; PrefetchMisses counts stalls.
+	// PrefetchHits and PrefetchMisses are always 0: each pass runs its
+	// panels sequentially through one buffer, with no prefetch stage.
+	// The fields remain so existing readers of the snapshot still build.
 	PrefetchHits   uint64
 	PrefetchMisses uint64
 
@@ -53,8 +51,8 @@ type Stats struct {
 	JournalBytes uint64
 
 	// PeakResidentBytes is the high-water mark of scratch the engine
-	// held at once: the buffer ring plus per-run bookkeeping. It never
-	// exceeds the configured budget.
+	// held at once: the panel buffer plus the workers' scratch lines.
+	// It never exceeds the configured budget.
 	PeakResidentBytes uint64
 
 	// Passes is the number of permutation passes the schedule ran.
@@ -108,8 +106,6 @@ func (c *counters) snapshot(passes int) Stats {
 		SegmentsTransformed: c.segmentsTransformed.Load(),
 		SegmentsSkipped:     c.segmentsSkipped.Load(),
 		SegmentsRestored:    c.segmentsRestored.Load(),
-		PrefetchHits:        c.prefetchHits.Load(),
-		PrefetchMisses:      c.prefetchMisses.Load(),
 		JournalBytes:        c.journalBytes.Load(),
 		PeakResidentBytes:   c.peakResident.Load(),
 		Passes:              passes,

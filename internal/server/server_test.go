@@ -87,7 +87,7 @@ func TestForcedSpillRoundTrip(t *testing.T) {
 	if got := srv.reg.Counter("server_jobs_spilled").Load(); got != 1 {
 		t.Fatalf("server_jobs_spilled = %d, want 1", got)
 	}
-	if got := srv.SpilledJobs(); got != 0 {
+	if got := waitSpilledJobsDrained(srv); got != 0 {
 		t.Fatalf("spill registry holds %d jobs after completion, want 0", got)
 	}
 }
@@ -319,8 +319,23 @@ func TestSpillKillResumeAcrossRestart(t *testing.T) {
 	if got := srv2.reg.Counter("server_resumes").Load(); got != 1 {
 		t.Fatalf("server_resumes = %d, want 1", got)
 	}
-	if got := srv2.SpilledJobs(); got != 0 {
+	if got := waitSpilledJobsDrained(srv2); got != 0 {
 		t.Fatalf("spill registry holds %d jobs after resume, want 0", got)
+	}
+}
+
+// waitSpilledJobsDrained polls the spill registry until it is empty or
+// a deadline passes, and returns the last count. The server removes a
+// finished job only after flushing its result, so the client can see
+// the result before the registry drops the job.
+func waitSpilledJobsDrained(srv *Server) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := srv.SpilledJobs()
+		if n == 0 || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

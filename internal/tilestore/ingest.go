@@ -118,9 +118,9 @@ func (d *Dataset) ingestSpilled(c, count, chunkBytes int, r io.Reader) (err erro
 	if _, err := io.CopyN(sf, r, int64(chunkBytes)); err != nil {
 		return fmt.Errorf("tilestore: spilling chunk %d: %w", c, err)
 	}
-	// The panel pipeline's scratch floor is two minimum-width panels;
-	// a budget below it is raised, never rejected — the spill already
-	// committed to out-of-core execution.
+	// The out-of-core scratch floor is one minimum-width panel and one
+	// line; a budget below it is raised, never rejected — the spill
+	// already committed to out-of-core execution.
 	budget := d.memBudget
 	if floor := 2 * int64(max(count, d.g.s.Fields)) * int64(d.g.s.ElemSize); budget < floor {
 		budget = floor
@@ -208,9 +208,9 @@ func (d *Dataset) soaToAOS(buf []byte, count int) error {
 }
 
 // builtinTranspose transposes a rows×cols element matrix held in buf
-// through the panel pipeline over an in-memory backend. A budget of
-// twice the buffer always clears the pipeline's two-panel floor, so the
-// schedule degenerates to a single resident segment pair.
+// through the out-of-core engine over an in-memory backend. A budget of
+// twice the buffer always clears the engine's floor, so the schedule
+// degenerates to one whole-matrix panel per pass.
 func (d *Dataset) builtinTranspose(buf []byte, rows, cols int) error {
 	_, err := ooc.Run(&byteBackend{b: buf}, ooc.Config{
 		Rows:     rows,
@@ -222,8 +222,8 @@ func (d *Dataset) builtinTranspose(buf []byte, rows, cols int) error {
 	return err
 }
 
-// byteBackend adapts a fixed byte slice to the pipeline's Backend
-// interface. The pipeline touches disjoint ranges from its stages, so
+// byteBackend adapts a fixed byte slice to the out-of-core engine's
+// Backend interface. The engine issues one backend call at a time, so
 // no locking is needed over the shared slice.
 type byteBackend struct {
 	b []byte

@@ -5,13 +5,14 @@ import (
 	"sort"
 )
 
-// Out-of-core wisdom: measured decisions for the ooc engine's schedule
-// knobs (segment size, pipeline depth, transform workers). These live in
-// the same wisdom file as the in-memory decisions, under a separate
-// "ooc" section, because the identities differ: an out-of-core decision
-// is keyed by the memory budget class in addition to the shape — the
-// best segment size under a 64 MiB budget says nothing about the best
-// one under 1 GiB.
+// Out-of-core wisdom: measured decisions for the ooc engine's transform
+// worker count. These live in the same wisdom file as the in-memory
+// decisions, under a separate "ooc" section, because the identities
+// differ: an out-of-core decision is keyed by the memory budget class in
+// addition to the shape — the best worker count under a 64 MiB budget
+// says nothing about the best one under 1 GiB. The engine derives the
+// segment from the exact budget and the workers, so a decision applies
+// to every budget in its class.
 
 // OOCKey identifies one out-of-core tuning problem. The budget enters as
 // its binary order of magnitude (floor(log2(bytes))): decisions within a
@@ -49,14 +50,20 @@ func (k OOCKey) validate() error {
 
 // OOCDecision is a measured-optimal out-of-core schedule for one OOCKey.
 type OOCDecision struct {
-	SegmentBytes int64   `json:"segment_bytes"`
-	Depth        int     `json:"depth"`
-	Workers      int     `json:"workers"`
-	GBps         float64 `json:"gbps,omitempty"` // winning throughput, for provenance
+	// SegmentBytes is the winner's panel size, kept for provenance and
+	// so the file shape stays valid; readers ignore it, because the
+	// segment is derived from the exact budget, not its class.
+	SegmentBytes int64 `json:"segment_bytes"`
+	// Depth is the retired pipeline depth. The engine no longer has a
+	// pipeline and readers ignore the field; the tuner writes 1 so files
+	// it saves stay loadable by versions that still require it.
+	Depth   int     `json:"depth"`
+	Workers int     `json:"workers"`
+	GBps    float64 `json:"gbps,omitempty"` // winning throughput, for provenance
 }
 
 func (d OOCDecision) validate() error {
-	if d.SegmentBytes <= 0 || d.Depth <= 0 || d.Workers <= 0 {
+	if d.SegmentBytes <= 0 || d.Workers <= 0 {
 		return &FormatError{Reason: fmt.Sprintf("invalid ooc decision %+v", d)}
 	}
 	return nil

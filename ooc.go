@@ -14,16 +14,19 @@ import (
 
 // This file is the public face of the out-of-core engine (internal/ooc):
 // transposing matrices that live on storage rather than in memory, under
-// a caller-specified scratch budget. The schedule is the same three-pass
-// decomposition as the in-memory engine, lifted from cache blocks to
-// storage segments; the budget floor is the decomposition's O(max(m,n))
-// auxiliary bound made literal.
+// a caller-specified scratch budget. The schedule is the in-memory
+// engine's decomposition lifted from cache blocks to storage segments,
+// with the column shuffle fused into one gather per column; the budget
+// floor is the decomposition's O(max(m,n)) auxiliary bound made literal.
 
 // Storage is the backend an out-of-core transposition operates on:
 // stateless random-access reads and writes. *os.File satisfies it, as
 // does any ranged-request adapter over an object store. If the backend
-// additionally implements Sync() error, the engine syncs data before
-// journal commits, upgrading the journal to a true write-ahead barrier.
+// additionally implements Sync() error, the engine syncs data at the end
+// of every pass, before the journal records the pass as done. Segment
+// commits within a pass are not preceded by a data sync; instead a
+// resume re-checksums each committed segment of the interrupted pass
+// and rolls back and re-executes any whose data did not survive.
 type Storage interface {
 	io.ReaderAt
 	io.WriterAt
@@ -58,8 +61,8 @@ var (
 )
 
 // OOCStats is the counter snapshot an out-of-core run returns: I/O
-// volume and call counts, segment pipeline progress, prefetch
-// effectiveness, journal traffic and the peak resident scratch.
+// volume and call counts, segment progress, journal traffic and the peak
+// resident scratch. PrefetchHits and PrefetchMisses are always 0.
 type OOCStats = ooc.Stats
 
 // OOCOptions parameterizes an out-of-core transposition. The zero value
@@ -72,16 +75,13 @@ type OOCOptions struct {
 	Budget int64
 
 	// Workers is the transform parallelism within a resident segment;
-	// 0 resolves through wisdom, then GOMAXPROCS.
+	// 0 resolves through wisdom, then GOMAXPROCS. Each worker holds a
+	// scratch line of max(rows,cols)*elemSize bytes, and the count is
+	// clamped so the lines fit the budget next to the segment.
 	Workers int
 
-	// Depth is the pipeline depth (in-flight segments across the
-	// prefetch/transform/write stages); 0 resolves through wisdom,
-	// then 3, degraded automatically under tight budgets.
-	Depth int
-
-	// SegmentBytes overrides the derived segment size; 0 resolves
-	// through wisdom, then Budget/(2*Depth).
+	// SegmentBytes overrides the derived segment size; 0 derives it as
+	// Budget minus the workers' scratch lines.
 	SegmentBytes int64
 
 	// Direction optionally forces the C2R or R2C pipeline, as for the
@@ -107,8 +107,10 @@ type OOCOptions struct {
 	Retries int
 
 	// Tuning controls consultation of the process wisdom table for
-	// Workers, Depth and SegmentBytes left at zero, exactly as
-	// Options.Tuning does for the in-memory planner.
+	// Workers left at zero, exactly as Options.Tuning does for the
+	// in-memory planner. The segment is always derived from the budget
+	// and the workers, so a decision carries over to every budget in its
+	// class; the segment size a decision records is ignored.
 	Tuning Tuning
 }
 
@@ -126,12 +128,6 @@ func oocConfig(rows, cols, elemSize int, o OOCOptions) (ooc.Config, error) {
 	}
 	if o.Tuning != WisdomOff {
 		if d, ok := lookupOOCWisdom(rows, cols, elemSize, o.Budget); ok {
-			if o.SegmentBytes == 0 {
-				o.SegmentBytes = d.SegmentBytes
-			}
-			if o.Depth == 0 {
-				o.Depth = d.Depth
-			}
 			if o.Workers == 0 {
 				o.Workers = d.Workers
 			}
@@ -150,7 +146,6 @@ func oocConfig(rows, cols, elemSize int, o OOCOptions) (ooc.Config, error) {
 		Rows: rows, Cols: cols, ElemSize: elemSize,
 		Budget:       o.Budget,
 		Workers:      o.Workers,
-		Depth:        o.Depth,
 		SegmentBytes: o.SegmentBytes,
 		Dir:          dir,
 		Journal:      o.Journal,
@@ -250,20 +245,19 @@ type OOCTuneResult struct {
 	ElemSize   int
 	Budget     int64
 
-	SegmentBytes int64
-	Depth        int
+	SegmentBytes int64 // the winner's panel buffer size
 	Workers      int
 	GBps         float64 // effective data-backend throughput of the winner
 }
 
 // String summarizes the result.
 func (r OOCTuneResult) String() string {
-	return fmt.Sprintf("ooc tuned %dx%d (%dB, budget %d): seg=%d depth=%d workers=%d (%.2f GB/s)",
-		r.Rows, r.Cols, r.ElemSize, r.Budget, r.SegmentBytes, r.Depth, r.Workers, r.GBps)
+	return fmt.Sprintf("ooc tuned %dx%d (%dB, budget %d): seg=%d workers=%d (%.2f GB/s)",
+		r.Rows, r.Cols, r.ElemSize, r.Budget, r.SegmentBytes, r.Workers, r.GBps)
 }
 
-// TuneOOC measures out-of-core schedule candidates — pipeline depths,
-// segment sizes and worker counts under the given budget — by
+// TuneOOC measures out-of-core schedule candidates — worker counts, each
+// with the segment its scratch lines leave under the budget — by
 // transposing a scratch temp file of the real shape, records the winner
 // in the process wisdom table under the budget's binary magnitude class,
 // and returns it. Subsequent TransposeFile/NewOOCPlanner calls for the
@@ -292,6 +286,13 @@ func TuneOOC(rows, cols, elemSize int, budget int64, cfgs ...TuneConfig) (OOCTun
 	if budget <= 0 {
 		budget = DefaultOOCBudget
 	}
+	// The engine clamps the workers so their scratch lines fit the
+	// budget next to a panel; candidates go up to that count.
+	base := ooc.Config{Rows: rows, Cols: cols, ElemSize: elemSize, Budget: budget, Workers: parallel.Workers(c.Workers)}
+	_, maxWorkers, err := ooc.Resolve(base)
+	if err != nil {
+		return OOCTuneResult{}, err
+	}
 
 	f, err := os.CreateTemp("", "xposeooc-tune-*")
 	if err != nil {
@@ -303,7 +304,6 @@ func TuneOOC(rows, cols, elemSize int, budget int64, cfgs ...TuneConfig) (OOCTun
 		return OOCTuneResult{}, err
 	}
 
-	maxWorkers := parallel.Workers(c.Workers)
 	workerCands := []int{1}
 	if maxWorkers > 1 {
 		workerCands = append(workerCands, maxWorkers)
@@ -317,49 +317,39 @@ func TuneOOC(rows, cols, elemSize int, budget int64, cfgs ...TuneConfig) (OOCTun
 	}
 
 	best := OOCTuneResult{Rows: rows, Cols: cols, ElemSize: elemSize, Budget: budget}
-	for _, depth := range []int{1, 2, 3} {
-		for _, workers := range workerCands {
-			cfg := ooc.Config{
-				Rows: rows, Cols: cols, ElemSize: elemSize,
-				Budget: budget, Depth: depth, Workers: workers,
+	for _, workers := range workerCands {
+		cfg := base
+		cfg.Workers = workers
+		var bestRun float64
+		for rep := 0; rep < reps; rep++ {
+			start := time.Now()
+			st, err := ooc.Run(f, cfg)
+			if err != nil {
+				return OOCTuneResult{}, fmt.Errorf("inplace: ooc tuning candidate workers=%d: %w", workers, err)
 			}
-			var bestRun float64
-			var segBytes int64
-			for rep := 0; rep < reps; rep++ {
-				start := time.Now()
-				st, err := ooc.Run(f, cfg)
-				if err != nil {
-					return OOCTuneResult{}, fmt.Errorf("inplace: ooc tuning candidate depth=%d workers=%d: %w", depth, workers, err)
-				}
-				el := time.Since(start).Seconds()
-				if el <= 0 {
-					el = 1e-9
-				}
-				gbps := float64(st.BytesRead+st.BytesWritten) / el / 1e9
-				if gbps > bestRun {
-					bestRun = gbps
-				}
-				if st.SegmentsTransformed > 0 && st.Passes > 0 {
-					segBytes = int64(st.BytesRead / (st.SegmentsTransformed))
-				}
+			el := time.Since(start).Seconds()
+			if el <= 0 {
+				el = 1e-9
 			}
-			if bestRun > best.GBps {
-				best.GBps = bestRun
-				best.Depth = depth
-				best.Workers = workers
-				best.SegmentBytes = segBytes
+			if gbps := float64(st.BytesRead+st.BytesWritten) / el / 1e9; gbps > bestRun {
+				bestRun = gbps
 			}
 		}
+		if bestRun > best.GBps {
+			best.GBps = bestRun
+			best.Workers = workers
+		}
 	}
-	if best.Depth == 0 {
+	if best.Workers == 0 {
 		return OOCTuneResult{}, fmt.Errorf("%w for %dx%d (ooc)", ErrNoTuneResult, rows, cols)
 	}
-	if best.SegmentBytes <= 0 {
-		best.SegmentBytes = budget / int64(2*best.Depth)
-	}
+	base.Workers = best.Workers
+	best.SegmentBytes, _, _ = ooc.Resolve(base)
 	k := tune.OOCKey{Rows: rows, Cols: cols, ElemSize: elemSize, BudgetLog2: tune.BudgetLog2(budget)}
+	// Depth 1 keeps the decision readable by wisdom readers that still
+	// require the retired pipeline-depth field; this version ignores it.
 	storeOOCWisdom(k, tune.OOCDecision{
-		SegmentBytes: best.SegmentBytes, Depth: best.Depth, Workers: best.Workers, GBps: best.GBps,
+		SegmentBytes: best.SegmentBytes, Depth: 1, Workers: best.Workers, GBps: best.GBps,
 	})
 	return best, nil
 }

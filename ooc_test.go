@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"inplace/internal/ooc"
+	"inplace/internal/tune"
 )
 
 // writeTempMatrix materializes a random rows×cols matrix of e-byte
@@ -171,7 +174,7 @@ func TestTuneOOCRecordsWisdom(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TuneOOC: %v", err)
 	}
-	if res.Depth < 1 || res.Workers < 1 || res.SegmentBytes < 1 {
+	if res.Workers < 1 || res.SegmentBytes < 1 {
 		t.Fatalf("implausible tuning result: %+v", res)
 	}
 	// A zero-valued planner for the same shape and budget class now picks
@@ -180,13 +183,58 @@ func TestTuneOOCRecordsWisdom(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wisdom not consulted: %v", err)
 	}
-	if p.cfg.Depth != res.Depth || p.cfg.Workers != res.Workers {
+	if p.cfg.Workers != res.Workers {
 		t.Fatalf("planner ignored wisdom: cfg=%+v res=%+v", p.cfg, res)
+	}
+	if panel, _, err := ooc.Resolve(p.cfg); err != nil || p.cfg.SegmentBytes != 0 || panel != res.SegmentBytes {
+		t.Fatalf("planner segment not derived: cfg=%+v panel=%d err=%v res=%+v", p.cfg, panel, err, res)
 	}
 	// Without wisdom, WisdomRequired fails.
 	ClearWisdom()
 	if _, err := NewOOCPlanner(rows, cols, e, OOCOptions{Budget: budget, Tuning: WisdomRequired}); !errors.Is(err, ErrNoWisdom) {
 		t.Fatalf("want ErrNoWisdom, got %v", err)
+	}
+}
+
+// TestOOCWisdomAppliesAcrossBudgetClass: wisdom is keyed by the budget's
+// binary magnitude, so a decision tuned at one budget serves every budget
+// in its class. Only its worker count carries over; the segment is
+// derived from the exact budget, and a recorded segment size — such as
+// the narrow one a pipelined engine's tuner saved — is ignored.
+func TestOOCWisdomAppliesAcrossBudgetClass(t *testing.T) {
+	ClearWisdom()
+	defer ClearWisdom()
+	const rows, cols, e, workers = 32, 48, 8, 2
+	const tuned, used = 8192, 12000 // both in [2^13, 2^14)
+	k := tune.OOCKey{Rows: rows, Cols: cols, ElemSize: e, BudgetLog2: tune.BudgetLog2(tuned)}
+	storeOOCWisdom(k, tune.OOCDecision{SegmentBytes: tuned / 6, Depth: 3, Workers: workers})
+
+	p, err := NewOOCPlanner(rows, cols, e, OOCOptions{Budget: used, Tuning: WisdomRequired})
+	if err != nil {
+		t.Fatalf("wisdom not found for budget %d: %v", used, err)
+	}
+	if p.cfg.Workers != workers || p.cfg.SegmentBytes != 0 {
+		t.Fatalf("planner cfg %+v, want %d workers and a derived segment", p.cfg, workers)
+	}
+	panel, gotWorkers, err := ooc.Resolve(p.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPanel, _, _ := ooc.Resolve(ooc.Config{Rows: rows, Cols: cols, ElemSize: e, Budget: used, Workers: workers})
+	if gotWorkers != workers || panel != wantPanel {
+		t.Fatalf("resolved %d workers and a %d-byte panel, want %d and %d", gotWorkers, panel, workers, wantPanel)
+	}
+	if panel <= tuned/6 {
+		t.Fatalf("panel %d bytes is no wider than the recorded segment", panel)
+	}
+
+	f, want := writeTempMatrix(t, rows, cols, e, 9)
+	defer f.Close()
+	if _, err := p.Transpose(f); err != nil {
+		t.Fatal(err)
+	}
+	if got := readBack(t, f, len(want)); !bytes.Equal(got, want) {
+		t.Fatal("result differs from reference")
 	}
 }
 

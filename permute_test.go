@@ -277,7 +277,10 @@ func TestPermuteWisdomSteersPlanner(t *testing.T) {
 	if PermWisdomLen() != 1 {
 		t.Fatalf("PermWisdomLen = %d, want 1", PermWisdomLen())
 	}
-	pl, err := NewPermutePlanner[uint32](dims, perm, Options{Tuning: WisdomRequired})
+	// The worker budget is part of the wisdom key, so the lookups use the
+	// budget the decision was tuned under, whatever GOMAXPROCS is.
+	tuned := Options{Workers: 1, Tuning: WisdomRequired}
+	pl, err := NewPermutePlanner[uint32](dims, perm, tuned)
 	if err != nil {
 		t.Fatalf("WisdomRequired after TunePermute: %v", err)
 	}
@@ -285,7 +288,7 @@ func TestPermuteWisdomSteersPlanner(t *testing.T) {
 		t.Fatalf("tuned strategy = %q", s)
 	}
 	// A different raw shape with the same canonical form shares the entry.
-	if _, err := NewPermutePlanner[uint32]([]int{4, 1, 8, 8, 3}, []int{0, 1, 4, 2, 3}, Options{Tuning: WisdomRequired}); err != nil {
+	if _, err := NewPermutePlanner[uint32]([]int{4, 1, 8, 8, 3}, []int{0, 1, 4, 2, 3}, tuned); err != nil {
 		t.Fatalf("canonical-form sharing: %v", err)
 	}
 	checkPermute(t, dims, perm, Options{})
