@@ -61,6 +61,19 @@ func TestExecuteZeroAllocScatterGather(t *testing.T) {
 	requireZeroAllocs(t, 96, 56, inplace.Options{Workers: 1, Method: inplace.GatherOnly})
 }
 
+func TestExecuteZeroAllocPanels(t *testing.T) {
+	// The default engine's panel passes at one and two workers: a
+	// non-coprime shape (pre-rotation, row shuffle, fused column
+	// shuffle) and a shape narrower than one default panel (40 > 30
+	// drives R2C on a 30×40 plan: n = 40 < 64 int64 columns). Two
+	// workers dispatch every pass onto the shared pool, whose chunk
+	// bodies and completion counters are recycled.
+	for _, workers := range []int{1, 2} {
+		requireZeroAllocs(t, 120, 96, inplace.Options{Workers: workers})
+		requireZeroAllocs(t, 40, 30, inplace.Options{Workers: workers})
+	}
+}
+
 func TestExecuteZeroAllocGcdShapes(t *testing.T) {
 	// gcd > 1 enables the pre-rotation pass and its rotation closures.
 	requireZeroAllocs(t, 120, 96, inplace.Options{Workers: 1, Method: inplace.CacheAware})

@@ -23,11 +23,12 @@
 // Repeated transposes of one shape should reuse a Planner, which
 // precomputes everything shape-dependent — the decomposition constants
 // (gcd cofactors, modular inverses, fixed-point reciprocals), the pass
-// schedule (direction heuristic, chunk partitions, rotation closures),
-// the cycle decomposition of the shared row permutation, and a recycled
-// scratch arena — so that steady-state Execute calls perform no heap
-// allocation at all and multi-worker plans run on a persistent worker
-// pool instead of spawning goroutines per pass:
+// schedule (direction heuristic, chunk partitions, panel width, rotation
+// closures), the skinny engine's cycle decomposition of the shared row
+// permutation, and a recycled scratch arena — so that steady-state
+// Execute calls perform no heap allocation at all and multi-worker plans
+// run on a persistent worker pool instead of spawning goroutines per
+// pass:
 //
 //	pl, _ := inplace.NewPlanner[float64](rows, cols)
 //	for _, buf := range buffers {
@@ -65,9 +66,10 @@
 //
 // Options.Method picks the pass structure: Algorithm1 (the paper's
 // scatter-based Algorithm 1), GatherOnly (the gather formulation used by
-// the paper's parallel CPU implementation, §5.1), CacheAware (coarse/fine
-// rotations and cycle-following row permutes, §4.6–4.7, §5.2), or
-// SkinnyMethod (the banded-sweep formulation of §6.1). The default Auto
+// the paper's parallel CPU implementation, §5.1), CacheAware (cache-aware
+// panel passes with the column shuffle's rotation and row permutation
+// fused into one gather, §4.6–4.7, §5.2: three passes, two when
+// gcd(rows, cols) = 1), or SkinnyMethod (the banded-sweep formulation of §6.1). The default Auto
 // runs the cache-aware engine with the shape heuristic of §5.2: the C2R
 // and R2C pipelines have complementary performance landscapes with a
 // crossover at square shapes, and the heuristic picks the pipeline whose
@@ -128,9 +130,10 @@
 // of which is a batched in-place 2D transpose over contiguous slabs
 // executed by the same Schedule/Engine stack as Transpose. A cost model
 // chooses between the greedy and inverse factorizations; when
-// Options.MaxScratchBytes caps auxiliary space below both
-// factorizations' floors, a strength-reduced cycle-leader walk with
-// O(1) extra space runs instead. Rank-2 perm [1, 0] takes exactly the
+// Options.MaxScratchBytes caps auxiliary space below what both
+// factorizations need even with their narrowest panels, a
+// strength-reduced cycle-leader walk with O(1) extra space runs
+// instead. Rank-2 perm [1, 0] takes exactly the
 // 2D planning path (same wisdom, zero warm allocations), and
 // NewPermutePlanner amortizes planning the same way NewPlanner does.
 // TunePermute measures strategy and worker candidates and stores the

@@ -26,9 +26,11 @@ const (
 	// the closed-form inverse d'^{-1} (§4.2); this is the structure of
 	// the paper's parallel CPU implementation (§5.1).
 	GatherOnly
-	// CacheAware adds the coarse/fine cache-aware rotations and the
-	// cycle-following whole-sub-row row permute (§4.6, §4.7); this is
-	// the structure of the paper's GPU implementation (§5.2).
+	// CacheAware runs the column passes as cache-aware panel gathers
+	// (§4.6, §4.7) and fuses the column shuffle's rotation and row
+	// permutation into one of them: 3 passes when gcd(rows, cols) > 1,
+	// 2 otherwise. This is the structure of the paper's GPU
+	// implementation (§5.2).
 	CacheAware
 	// SkinnyMethod uses the fused band sweeps of the AoS↔SoA
 	// specialization (§6.1); it falls back to CacheAware when the shape
@@ -74,8 +76,12 @@ type Options struct {
 	Method Method
 	// Order is the linearization of the input array (default RowMajor).
 	Order Order
-	// BlockWidth overrides the cache-aware sub-row width in elements
-	// (0 = one 64-byte cache line of 64-bit elements).
+	// BlockWidth overrides the cache-aware panel width in elements: the
+	// number of adjacent columns each column pass moves together. 0
+	// derives it from the element size — a 512-byte panel row, at least
+	// 8 and at most the column count. Any positive width is correct;
+	// each worker holds one panel of (internal column length)×width
+	// elements.
 	BlockWidth int
 	// Direction forces the C2R or R2C formulation instead of the
 	// shape heuristic. Zero is the heuristic.
@@ -85,12 +91,13 @@ type Options struct {
 	// LoadWisdom) before falling back to the static heuristics. The zero
 	// value WisdomAuto consults wisdom; see the Tuning constants.
 	Tuning Tuning
-	// MaxScratchBytes caps the auxiliary space the PermuteAxes planner
-	// may use: when positive and below every factorization's scratch
-	// floor (2·max(rows, cols)·elemSize of the worst pass), the planner
-	// falls back to the O(1)-space cycle-leader strategy. Zero means
-	// unbounded. The 2D paths ignore it — their floor is fixed by the
-	// shape.
+	// MaxScratchBytes caps the auxiliary space of one execution (see
+	// ScratchBytes). Plans narrow their cache-aware panels, down to one
+	// column, until they fit. When even the narrowest panels of every
+	// factorization exceed it, the PermuteAxes planner falls back to the
+	// O(1)-space cycle-leader strategy; the 2D paths have no such
+	// fallback, so their narrowest panels are their floor. Zero means
+	// unbounded.
 	MaxScratchBytes int
 }
 
@@ -298,8 +305,36 @@ func newPlanElem(rows, cols int, o Options, elemSize int) (*Plan, error) {
 		return nil, fmt.Errorf("%w %v", ErrUnknownMethod, method)
 	}
 	p.method = method
-	p.opts = core.Opts{Workers: o.Workers, Variant: p.variant, BlockW: o.BlockWidth}
+	p.opts = coreOpts(o, p.variant)
 	return p, nil
+}
+
+// coreOpts maps public options onto the engine's.
+func coreOpts(o Options, v core.Variant) core.Opts {
+	return core.Opts{Workers: o.Workers, Variant: v, BlockW: o.BlockWidth, MaxScratch: int64(o.MaxScratchBytes)}
+}
+
+// scratchBytes returns the scratch one execution of the plan holds with
+// elements of elemSize bytes (core.Schedule.ScratchBytes).
+func (p *Plan) scratchBytes(elemSize int) int64 {
+	return core.NewSchedule(p.plan, p.opts, elemSize).ScratchBytes()
+}
+
+// ScratchBytes returns the auxiliary bytes one Transpose or Planner
+// execution of a rows×cols array of elemSize-byte elements holds with
+// options o, wisdom included: every worker's line or panel buffer
+// (up to (internal column length)×BlockWidth elements each) and the
+// skinny band snapshots. Concurrent executions each hold their own.
+// Admission control uses it as the exact in-memory cost of a job.
+func ScratchBytes(rows, cols, elemSize int, o Options) (int64, error) {
+	if elemSize <= 0 {
+		return 0, fmt.Errorf("%w (got %d)", ErrElemSize, elemSize)
+	}
+	p, err := newPlanElem(rows, cols, o, elemSize)
+	if err != nil {
+		return 0, err
+	}
+	return p.scratchBytes(elemSize), nil
 }
 
 // Rows returns the logical row count the plan transposes from.
@@ -381,7 +416,7 @@ func C2R[T any](data []T, m, n int, o Options) error {
 	if len(data) != size {
 		return lengthErr(len(data), size)
 	}
-	core.C2R(data, cr.NewPlan(m, n), core.Opts{Workers: o.Workers, Variant: methodVariant(o.Method), BlockW: o.BlockWidth})
+	core.C2R(data, cr.NewPlan(m, n), coreOpts(o, methodVariant(o.Method)))
 	return nil
 }
 
@@ -395,7 +430,7 @@ func R2C[T any](data []T, m, n int, o Options) error {
 	if len(data) != size {
 		return lengthErr(len(data), size)
 	}
-	core.R2C(data, cr.NewPlan(m, n), core.Opts{Workers: o.Workers, Variant: methodVariant(o.Method), BlockW: o.BlockWidth})
+	core.R2C(data, cr.NewPlan(m, n), coreOpts(o, methodVariant(o.Method)))
 	return nil
 }
 

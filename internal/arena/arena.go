@@ -1,11 +1,13 @@
 // Package arena provides recycled scratch storage for the transposition
-// engines. The decomposition's auxiliary-space bound is O(max(m, n)) per
-// execution lane, but allocating that scratch on every call dominates the
-// cost of transposing the small and skinny shapes the paper targets
-// (§6.1). An arena sizes the scratch once — from the plan — and recycles
-// it across executions through a sync.Pool, so a reused plan reaches a
-// zero-allocation steady state while concurrent executions still each get
-// private buffers.
+// engines. Each execution lane needs a row line or a cache-aware panel of
+// scratch, but allocating that scratch on every call dominates the cost
+// of transposing the small and skinny shapes the paper targets (§6.1). A
+// Pool recycles an engine's per-execution state through a sync.Pool, and
+// Buffers lends the large line and panel buffers from one free list per
+// element type shared by every engine, so a reused plan reaches a
+// zero-allocation steady state, concurrent executions still each get
+// private buffers, and plans built for new shapes reuse the buffers
+// earlier plans returned.
 package arena
 
 import (

@@ -3,6 +3,7 @@ package bench
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -198,5 +199,36 @@ func TestRenderHelpers(t *testing.T) {
 	csv := CSV([]string{"a", "b"}, [][]float64{{1, 2}})
 	if csv != "a,b\n1,2\n" {
 		t.Fatalf("csv wrong: %q", csv)
+	}
+}
+
+var allocSink []*[64]byte
+
+// allocsPerOp must report the body's own allocations: one per call for a
+// body that allocates once, however much another goroutine allocates
+// meanwhile.
+func TestAllocsPerOpIgnoresConcurrentAllocs(t *testing.T) {
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var junk []*[64]byte
+		for !stop.Load() {
+			junk = append(junk[:0], new([64]byte), new([64]byte))
+		}
+		_ = junk
+	}()
+	defer func() {
+		stop.Store(true)
+		<-done
+	}()
+	once := func() { allocSink = append(allocSink[:0], new([64]byte)) }
+	for i := 0; i < 20; i++ {
+		if allocs, bytes := allocsPerOp(once, 2); allocs != 1 || bytes != 64 {
+			t.Fatalf("run %d: %d allocs, %d bytes per op, want 1 and 64", i, allocs, bytes)
+		}
+	}
+	if allocs, _ := allocsPerOp(func() {}, 2); allocs != 0 {
+		t.Fatalf("empty body: %d allocs per op, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -280,7 +281,6 @@ func MeasureMicro(c MicroCase, opts tune.MeasureOpts) benchfmt.Experiment {
 		defer c.Cleanup()
 	}
 	body := c.Prep()
-	body() // warm: lazy cycle decompositions, arenas, pool spin-up
 	allocs, allocBytes := allocsPerOp(body, 2)
 
 	nsSamples := tune.Measure(body, opts)
@@ -304,21 +304,31 @@ func MeasureMicro(c MicroCase, opts tune.MeasureOpts) benchfmt.Experiment {
 	}
 }
 
+// allocBatches is the number of batches allocsPerOp measures.
+const allocBatches = 5
+
 // allocsPerOp counts heap allocations and allocated bytes per call of
-// body, testing.AllocsPerRun-style: GOMAXPROCS pinned to 1 so no
-// concurrent goroutine pollutes the counters, body warmed by the caller,
-// runs calls averaged (an even count so cases that flip orientation each
-// op average both directions).
+// body, testing.AllocsPerRun-style: GOMAXPROCS pinned to 1, one warm-up
+// call (lazy cycle decompositions, arenas, pool spin-up), then runs
+// calls per batch (an even count so cases that flip orientation each op
+// average both directions). The process-wide counters also see any
+// other goroutine's allocations, which can only add, so the minimum over
+// allocBatches batches is the body's own count.
 func allocsPerOp(body func(), runs int) (allocs, bytes int64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	body()
+	allocs, bytes = math.MaxInt64, math.MaxInt64
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		body()
+	for b := 0; b < allocBatches; b++ {
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			body()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, int64(after.Mallocs-before.Mallocs)/int64(runs))
+		bytes = min(bytes, int64(after.TotalAlloc-before.TotalAlloc)/int64(runs))
 	}
-	runtime.ReadMemStats(&after)
-	return int64(after.Mallocs-before.Mallocs) / int64(runs),
-		int64(after.TotalAlloc-before.TotalAlloc) / int64(runs)
+	return allocs, bytes
 }
 
 // Micro runs the default micro matrix for cfg (the benchsuite

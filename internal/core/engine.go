@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"inplace/internal/cr"
 	"inplace/internal/parallel"
@@ -19,9 +20,12 @@ const (
 	// Gather is the gather-only formulation of §4.2/§5.1 using the
 	// closed-form inverse d'^{-1}: the parallel CPU implementation.
 	Gather
-	// CacheAware is the §5.2 formulation: gather-only row shuffle plus
-	// cache-aware coarse/fine column rotations and a cycle-following
-	// whole-sub-row row permute.
+	// CacheAware is the §5.2 formulation with the column shuffle's
+	// rotation p_j and row permutation q (Equations 32–33) fused into one
+	// panel gather: every column pass copies a panel of adjacent columns
+	// into scratch and writes each row back gathered. C2R and R2C make 3
+	// passes (pre-rotation, row shuffle, column shuffle) on non-coprime
+	// shapes and 2 on coprime ones.
 	CacheAware
 	// Skinny is the §6.1 specialization for matrices with a very small
 	// column count: fused band gathers and whole-row cycle following.
@@ -73,25 +77,37 @@ type Opts struct {
 	// Variant selects the pass structure; the zero value is Scatter
 	// (Algorithm 1).
 	Variant Variant
-	// BlockW is the sub-row width (in elements) used by the cache-aware
-	// passes; 0 selects a width spanning a 64-byte cache line of 8-byte
-	// elements.
+	// BlockW is the panel width in elements of the cache-aware column
+	// passes; 0 derives it from the element size: a 512-byte panel row,
+	// clamped to [8, n]. Any positive width is correct.
 	BlockW int
+	// MaxScratch, when positive, narrows the cache-aware panel width
+	// (down to one column) until the schedule's ScratchBytes fits it.
+	MaxScratch int64
 	// Pool, when non-nil, dispatches parallel chunks onto a persistent
 	// worker pool instead of spawning goroutines per pass. Engines never
 	// nest dispatches, as the pool requires.
 	Pool *parallel.Pool
 }
 
-// DefaultBlockW is the default cache-aware sub-row width: eight elements
-// span a 64-byte cache line of 64-bit values.
-const DefaultBlockW = 8
+// panelRowBytes is the byte width of a default panel row: wide enough
+// that every row of a panel moves as one long contiguous copy, narrow
+// enough that the rows a rotation touches at once stay in L1.
+const panelRowBytes = 512
 
-func (o Opts) blockW() int {
-	if o.BlockW > 0 {
-		return o.BlockW
+// minPanelW is the narrowest default panel, for elements so large that
+// panelRowBytes holds fewer than eight of them.
+const minPanelW = 8
+
+// panelWidth resolves the cache-aware panel width for an n-column plan:
+// blockW when positive, otherwise panelRowBytes/elemSize clamped to
+// [minPanelW, n]. The result never exceeds n.
+func panelWidth(blockW, elemSize, n int) int {
+	w := blockW
+	if w <= 0 {
+		w = max(panelRowBytes/max(elemSize, 1), minPanelW)
 	}
-	return DefaultBlockW
+	return min(w, n)
 }
 
 // C2R performs the in-place C2R transposition of the flat row-major
@@ -102,12 +118,18 @@ func (o Opts) blockW() int {
 // transpose repeatedly should hold an Engine (via the public Planner)
 // and amortize that work instead.
 func C2R[T any](data []T, plan *cr.Plan, o Opts) {
-	NewEngine[T](NewSchedule(plan, o)).C2R(data)
+	NewEngine[T](NewSchedule(plan, o, sizeOf[T]())).C2R(data)
 }
 
 // R2C performs the in-place R2C transposition, the exact inverse of C2R:
 // if data holds a row-major n×m array, R2C with an m×n plan leaves data
 // holding the row-major m×n transpose.
 func R2C[T any](data []T, plan *cr.Plan, o Opts) {
-	NewEngine[T](NewSchedule(plan, o)).R2C(data)
+	NewEngine[T](NewSchedule(plan, o, sizeOf[T]())).R2C(data)
+}
+
+// sizeOf returns the size of T in bytes.
+func sizeOf[T any]() int {
+	var v T
+	return int(unsafe.Sizeof(v))
 }

@@ -1,8 +1,16 @@
 // Package core implements the in-place transposition engines of the
 // paper: the sequential Algorithm 1 (scatter-based), the gather-only
-// parallel CPU formulation (§5.1), the cache-aware formulation with
-// coarse/fine rotations and cycle-following row permutes (§4.6, §4.7,
-// §5.2), and the skinny specialization for AoS↔SoA conversion (§6.1).
+// parallel CPU formulation (§5.1), the cache-aware formulation (§4.6,
+// §4.7, §5.2), and the skinny specialization for AoS↔SoA conversion
+// (§6.1).
+//
+// The cache-aware engine runs every column pass as a panel gather: a
+// worker copies W adjacent columns (a 512-byte panel row by default)
+// into scratch and writes each row back permuted, and the column
+// shuffle's rotation p_j and row permutation q run as one such pass. A
+// C2R or R2C transpose is then three passes over the array —
+// pre-rotation, row shuffle, column shuffle — or two when
+// gcd(m, n) = 1, at the price of m·W elements of scratch per worker.
 //
 // All engines operate on a flat slice holding a row-major m×n array and
 // permute it so that afterwards the same slice holds the row-major n×m

@@ -19,10 +19,10 @@ import (
 
 // rotateColumnsGatherRange applies a per-column rotation as a gather for
 // columns [lo, hi): column j becomes col'[i] = col[(i + amount(j)) mod m].
-// This is the naive formulation; see cacheaware.go for the coarse/fine
-// version. divM is the plan's strength-reduced divider for m, so the
-// per-column amount normalization performs no hardware division; tmp must
-// hold at least m elements.
+// This is the naive formulation; see panel.go for the cache-aware one.
+// divM is the plan's strength-reduced divider for m, so the per-column
+// amount normalization performs no hardware division; tmp must hold at
+// least m elements.
 //
 //xpose:hotpath
 func rotateColumnsGatherRange[T any](data []T, m, n int, amount func(j int) int, divM mathutil.Divider, tmp []T, lo, hi int) {
@@ -132,14 +132,6 @@ func rowShuffleScatterIncRange[T any](data []T, p *cr.Plan, tmp []T, lo, hi int)
 	}
 }
 
-// rowShuffleScatterInc is the one-shot parallel form, kept for the
-// pass-level profiling entry points.
-func rowShuffleScatterInc[T any](data []T, p *cr.Plan, workers int) {
-	parallel.For(p.M, workers, func(_, lo, hi int) {
-		rowShuffleScatterIncRange(data, p, make([]T, p.N), lo, hi)
-	})
-}
-
 // rowShuffleGatherDRange gathers each row with d'_i directly; because
 // gathering with a permutation's forward map applies its inverse, this is
 // the row shuffle of the R2C transpose (§4.3).
@@ -219,7 +211,7 @@ func columnShuffleGatherRange[T any](data []T, p *cr.Plan, tmp []T, lo, hi int) 
 
 // rowPermuteGatherNaiveRange permutes whole rows, out[i] = in[permf(i)],
 // by gathering column-by-column over columns [lo, hi). The cache-aware
-// engine replaces this with whole-sub-row cycle following (§4.7). tmp
+// engine replaces this with whole-panel-row copies (panel.go). tmp
 // must hold at least m elements.
 //
 //xpose:hotpath

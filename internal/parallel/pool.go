@@ -18,6 +18,10 @@ import (
 type Pool struct {
 	workers int
 	tasks   chan poolTask
+	// wgs recycles the per-call completion counters: a WaitGroup handed
+	// to the workers escapes, so a fresh one per call would cost every
+	// parallel pass an allocation.
+	wgs sync.Pool
 
 	closeOnce sync.Once
 }
@@ -61,7 +65,8 @@ func (p *Pool) run() {
 // runs the first chunk itself, and runs any chunk that does not fit the
 // dispatch buffer inline, so a call always makes progress regardless of
 // pool load. With a single chunk the body runs on the calling goroutine
-// with no synchronization at all.
+// with no synchronization at all. A warm call allocates nothing when
+// body is a prebuilt func value.
 func (p *Pool) ForBounds(bounds []int, body func(worker, lo, hi int)) {
 	nchunks := len(bounds) - 1
 	if nchunks <= 0 || bounds[nchunks] == bounds[0] {
@@ -71,10 +76,13 @@ func (p *Pool) ForBounds(bounds []int, body func(worker, lo, hi int)) {
 		body(0, bounds[0], bounds[1])
 		return
 	}
-	var wg sync.WaitGroup
+	wg, _ := p.wgs.Get().(*sync.WaitGroup)
+	if wg == nil {
+		wg = &sync.WaitGroup{}
+	}
 	wg.Add(nchunks - 1)
 	for w := 1; w < nchunks; w++ {
-		t := poolTask{body: body, worker: w, lo: bounds[w], hi: bounds[w+1], wg: &wg}
+		t := poolTask{body: body, worker: w, lo: bounds[w], hi: bounds[w+1], wg: wg}
 		select {
 		case p.tasks <- t:
 		default:
@@ -84,6 +92,7 @@ func (p *Pool) ForBounds(bounds []int, body func(worker, lo, hi int)) {
 	}
 	body(0, bounds[0], bounds[1])
 	wg.Wait()
+	p.wgs.Put(wg)
 }
 
 // For divides [0, n) across at most `workers` chunks and runs them on the

@@ -10,15 +10,16 @@ import (
 )
 
 // The admission controller bounds the total bytes the daemon holds in
-// flight. Its cost model is the paper's auxiliary-space theorem made
-// operational: an in-memory job costs its payload plus the
-// decomposition's scratch floor of 2·max(rows,cols)·elemSize bytes
-// (the O(max(m,n)) bound of Catanzaro et al., the exact scratch a
-// worst-case pass needs resident), and a spilled job costs only its
-// out-of-core resident budget — the same floor, raised to the
-// configured segment-pipeline budget — because its payload lives on
-// disk. Because every cost is exact rather than heuristic, the ledger
-// is a hard guarantee: the sum of admitted costs never exceeds the
+// flight. Its cost model is the engine's auxiliary space made
+// operational: an in-memory job costs its payload plus the scratch its
+// transpose holds (inplace.ScratchBytes: each worker's line or panel
+// buffer — up to (internal column length)×(panel width) elements, where
+// the paper's bound is O(max(m,n)) — computed from the schedule the
+// transpose runs), and a spilled job costs only its out-of-core
+// resident budget — the engine's 2·max(rows,cols)·elemSize floor,
+// raised to the configured budget — because its payload lives on disk.
+// Because every cost is exact rather than heuristic, the ledger is a
+// hard guarantee: the sum of admitted costs never exceeds the
 // configured budget, which /stats exposes as the in-flight level and
 // its peak.
 //

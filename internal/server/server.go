@@ -70,9 +70,10 @@ type Config struct {
 	SpillDir string
 
 	// MaxInFlightBytes is the admission budget: the sum of the exact
-	// per-job costs (payload + the decomposition's scratch floor for
-	// in-memory jobs, the out-of-core resident budget for spilled
-	// ones) never exceeds it. Default 1 GiB.
+	// per-job costs (payload + the transpose's scratch, as
+	// inplace.ScratchBytes reports it, for in-memory jobs, the
+	// out-of-core resident budget for spilled ones) never exceeds it.
+	// Default 1 GiB.
 	MaxInFlightBytes int64
 
 	// MemJobLimit is the per-job in-memory payload ceiling; larger
@@ -392,7 +393,8 @@ func (s *Server) handleConn(c net.Conn) {
 type jobGeom struct {
 	rows, cols, elem int
 	total            int64 // payload bytes
-	floor            int64 // 2·max(rows,cols)·elem, the paper's scratch bound
+	scratch          int64 // scratch of the in-memory transpose (inplace.ScratchBytes)
+	oocFloor         int64 // the out-of-core engine's minimum budget
 }
 
 // checkJob validates wire geometry into a jobGeom.
@@ -416,22 +418,21 @@ func checkJob(rows, cols uint64, elem uint32) (jobGeom, error) {
 		return jobGeom{}, errBadElem
 	}
 	g.total = int64(total)
-	long := g.rows
-	if g.cols > long {
-		long = g.cols
+	var err error
+	if g.scratch, err = inplace.ScratchBytes(g.rows, g.cols, g.elem, inplace.Options{}); err != nil {
+		return jobGeom{}, errBadElem
 	}
-	g.floor = 2 * int64(long) * int64(g.elem)
+	if g.oocFloor, err = inplace.OOCMinBudget(g.rows, g.cols, g.elem); err != nil {
+		return jobGeom{}, errBadElem
+	}
 	return g, nil
 }
 
 // spillCost is the admission cost of a spilled job: the out-of-core
-// engine's resident budget (its payload lives on disk).
-func (s *Server) spillCost(g jobGeom) int64 {
-	b := s.cfg.OOCBudget
-	if g.floor > b {
-		b = g.floor
-	}
-	return b
+// engine's resident budget (its payload lives on disk), raised to the
+// engine's minimum for the shape.
+func (s *Server) spillCost(oocFloor int64) int64 {
+	return max(s.cfg.OOCBudget, oocFloor)
 }
 
 // admitOrReport runs admission for cost and reports failures to the
@@ -462,7 +463,7 @@ func (s *Server) serveJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.HeaderL
 		return s.writeError(bw, hdr, wire.CodeBadShape, 0, gerr.Error())
 	}
 
-	memCost := g.total + g.floor
+	memCost := g.total + g.scratch
 	spill := job.Flags&wire.FlagSpill != 0 ||
 		g.total > s.cfg.MemJobLimit ||
 		memCost > s.cfg.MaxInFlightBytes
@@ -544,7 +545,7 @@ func (s *Server) serveSpillJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.He
 		return s.writeError(bw, hdr, wire.CodeInternal, 0, err.Error())
 	}
 
-	release, admitted, werr := s.admitOrReport(bw, hdr, s.spillCost(g))
+	release, admitted, werr := s.admitOrReport(bw, hdr, s.spillCost(g.oocFloor))
 	if !admitted {
 		s.spills.remove(token)
 		return werr
@@ -584,7 +585,7 @@ func (s *Server) serveResume(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.Head
 	}
 	defer j.releaseOwner()
 
-	release, admitted, werr := s.admitOrReport(bw, hdr, s.spillCost(g))
+	release, admitted, werr := s.admitOrReport(bw, hdr, s.spillCost(g.oocFloor))
 	if !admitted {
 		return werr
 	}
@@ -684,12 +685,12 @@ func (s *Server) runSpill(j *spillJob) error {
 	if s.cfg.wrapSpill != nil {
 		backend = s.cfg.wrapSpill(data)
 	}
-	long := j.meta.Rows
-	if j.meta.Cols > long {
-		long = j.meta.Cols
+	oocFloor, err := inplace.OOCMinBudget(j.meta.Rows, j.meta.Cols, j.meta.Elem)
+	if err != nil {
+		return err
 	}
 	_, err = inplace.TransposeFile(backend, j.meta.Rows, j.meta.Cols, j.meta.Elem, inplace.OOCOptions{
-		Budget:  s.spillCost(jobGeom{floor: 2 * int64(long) * int64(j.meta.Elem)}),
+		Budget:  s.spillCost(oocFloor),
 		Journal: jrn,
 		Resume:  resume,
 	})

@@ -123,7 +123,11 @@ func TestShedUnderPressure(t *testing.T) {
 	// the short deadline.
 	const rows, cols, elem = 64, 64, 8
 	total := int64(rows * cols * elem)
-	cost := total + 2*64*8
+	scratch, err := inplace.ScratchBytes(rows, cols, elem, inplace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := total + scratch
 	_, addr := startServer(t, Config{
 		MaxInFlightBytes: cost,
 		MaxWait:          50 * time.Millisecond,

@@ -110,25 +110,6 @@ func Cost(steps []Step) float64 {
 	return total
 }
 
-// ScratchFloor returns the factored plan's auxiliary-space floor in
-// bytes: the 2D engine needs O(max(rows, cols)) scratch elements per
-// slab pass (the paper's bound made literal, doubled as the public OOC
-// floor documents), and the factored executor runs one pass at a time,
-// so the floor is the worst step's.
-func ScratchFloor(steps []Step, elemSize int) int {
-	floor := 0
-	for _, st := range steps {
-		long := st.Rows
-		if st.Cols > long {
-			long = st.Cols
-		}
-		if b := 2 * long * elemSize; b > floor {
-			floor = b
-		}
-	}
-	return floor
-}
-
 // Strategy names for the permutation planner, shared with the wisdom
 // table (tune.PermDecision.Strategy) and the tuner's candidate set.
 const (

@@ -245,12 +245,6 @@ func TestCostAndFloor(t *testing.T) {
 	if Cost(one) >= Cost(two) {
 		t.Errorf("Cost: one pass %v should be cheaper than two %v", Cost(one), Cost(two))
 	}
-	if got := ScratchFloor(one, 8); got != 2*1024*8 {
-		t.Errorf("ScratchFloor = %d, want %d", got, 2*1024*8)
-	}
-	if got := ScratchFloor(nil, 8); got != 0 {
-		t.Errorf("ScratchFloor(nil) = %d, want 0", got)
-	}
 }
 
 func TestValidStrategy(t *testing.T) {

@@ -2,7 +2,7 @@
 // library: for one shape / element size / worker budget it times the
 // real candidate space — pass pipeline (scatter, gather, cache-aware)
 // vs. the skinny banded specialization, C2R vs. R2C direction, worker
-// counts and cache-aware sub-row granularities — on short repeatable
+// counts and cache-aware panel widths — on short repeatable
 // measurement runs with outlier-robust statistics, and records the
 // winner in a versioned wisdom table (wisdom.go) that the public
 // Planner consults before falling back to the paper's static
@@ -12,7 +12,7 @@
 // scaled to this candidate space: stage 1 races every (direction,
 // pipeline) pair at the full worker budget, stage 2 sweeps the worker
 // ladder for the winning pipeline, and stage 3 sweeps the cache-aware
-// sub-row width when the winner uses one. Each candidate is measured as
+// panel width when the winner uses one. Each candidate is measured as
 // the median of several samples, each sample batched to a minimum wall
 // time, so scheduler noise and one-off cache effects do not promote a
 // loser.
@@ -36,7 +36,7 @@ type Candidate struct {
 	C2R     bool         // pipeline direction
 	Variant core.Variant // pass structure
 	Workers int          // goroutines
-	BlockW  int          // cache-aware sub-row width, 0 = engine default
+	BlockW  int          // cache-aware panel width in elements, 0 = engine default
 }
 
 func (c Candidate) String() string {
@@ -64,8 +64,10 @@ type Config struct {
 	// remaining reps are dropped (the median is taken over what was
 	// collected). 0 means 80ms.
 	MaxCandidate time.Duration
-	// BlockWidths is the stage-3 sweep for cache-aware winners; 0 entries
-	// mean the engine default. nil means {0, 16, 32}.
+	// BlockWidths is the stage-3 panel-width sweep (in elements) for
+	// cache-aware winners; 0 entries mean the engine default (a 512-byte
+	// panel row). nil means the default plus panels of about 256 B and
+	// 1 KiB per row, sized by the element (blockWidthsFor).
 	BlockWidths []int
 	// Cost, when non-nil, replaces wall-clock measurement with a
 	// deterministic ns/op estimate. Tests use it to force decisions (for
@@ -84,10 +86,15 @@ func (c Config) withDefaults() Config {
 	if c.MaxCandidate <= 0 {
 		c.MaxCandidate = 80 * time.Millisecond
 	}
-	if c.BlockWidths == nil {
-		c.BlockWidths = []int{0, 16, 32}
-	}
 	return c
+}
+
+// blockWidthsFor is the default panel-width sweep for elemSize-byte
+// elements: the engine default and panels of about 256 B and 1 KiB per
+// row.
+func blockWidthsFor(elemSize int) []int {
+	e := max(elemSize, 1)
+	return []int{0, max(256/e, 1), max(1024/e, 1)}
 }
 
 // Smoke returns a configuration with every knob capped for fast CI
@@ -106,7 +113,7 @@ func Smoke() Config {
 // HeuristicCandidate returns the choice the static planner heuristic
 // would make for the shape under the given budget: the cache-aware
 // pipeline in the direction with the shorter internal columns, all
-// workers, default sub-row width. The tuner seeds its search with it so
+// workers, default panel width. The tuner seeds its search with it so
 // a tuned process can never regress below the heuristic by more than
 // measurement noise — if nothing beats it, it wins.
 func HeuristicCandidate(rows, cols, maxWorkers int) Candidate {
@@ -187,11 +194,16 @@ func TuneFor[T any](rows, cols int, cfg Config) (Decision, error) {
 		}
 	}
 
-	// Stage 3: cache-aware sub-row width. Only the cache-aware pipeline
+	// Stage 3: cache-aware panel width. Only the cache-aware pipeline
 	// consumes it (the skinny permute spans whole rows, scatter/gather
-	// use no sub-row tiling).
+	// use no panels).
+	var elem T
+	widths := cfg.BlockWidths
+	if widths == nil {
+		widths = blockWidthsFor(int(unsafe.Sizeof(elem)))
+	}
 	if best.Variant == core.CacheAware {
-		for _, bw := range cfg.BlockWidths {
+		for _, bw := range widths {
 			cand := best
 			cand.BlockW = bw
 			if cost := m.cost(cand); cost < bestCost {
@@ -200,7 +212,6 @@ func TuneFor[T any](rows, cols int, cfg Config) (Decision, error) {
 		}
 	}
 
-	var elem T
 	d := Decision{
 		Variant: best.Variant.String(),
 		C2R:     best.C2R,
@@ -253,7 +264,8 @@ func (m *measurer[T]) measure(c Candidate) float64 {
 	if parallel.Workers(c.Workers) > 1 {
 		opts.Pool = parallel.Shared()
 	}
-	eng := core.NewEngine[T](core.NewSchedule(m.plan(c.C2R), opts))
+	var elem T
+	eng := core.NewEngine[T](core.NewSchedule(m.plan(c.C2R), opts, int(unsafe.Sizeof(elem))))
 	run := func() {
 		// The pipelines are data-independent permutations, so timing does
 		// not care that successive runs keep permuting the buffer.

@@ -58,13 +58,15 @@ func TestTuneForWorkerLadder(t *testing.T) {
 }
 
 func TestTuneForBlockWidthSweep(t *testing.T) {
+	// The default sweep sizes panels by the element: for uint64 it
+	// includes the 1 KiB panel row of 128 elements.
 	cfg := Config{
 		MaxWorkers: 1,
 		Cost: func(c Candidate) float64 {
 			if c.Variant != core.CacheAware {
 				return 1000
 			}
-			if c.BlockW == 16 {
+			if c.BlockW == 128 {
 				return 1
 			}
 			return 10
@@ -74,8 +76,8 @@ func TestTuneForBlockWidthSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Variant != "cache-aware" || d.BlockW != 16 {
-		t.Fatalf("block sweep got %+v, want cache-aware blockw=16", d)
+	if d.Variant != "cache-aware" || d.BlockW != 128 {
+		t.Fatalf("block sweep got %+v, want cache-aware blockw=128", d)
 	}
 }
 

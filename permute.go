@@ -23,10 +23,10 @@ import (
 // planned by the same newPlanElem path Transpose uses, so there is one
 // planning path, not two.
 //
-// When the factored path's scratch floor exceeds Options.
-// MaxScratchBytes, the planner falls back to a cycle-leader walk over
-// the affine flat-index map (the reversal-method regime: O(1) auxiliary
-// space, O(n·L) index work).
+// When every factored path needs more scratch than Options.
+// MaxScratchBytes allows, even with its narrowest panels, the planner
+// falls back to a cycle-leader walk over the affine flat-index map (the
+// reversal-method regime: O(1) auxiliary space, O(n·L) index work).
 
 // PermutePlan caches the canonical form, chosen strategy and factored 2D
 // step plans for permuting one (dims, perm) pair repeatedly.
@@ -116,13 +116,24 @@ func planPermute(dims, perm []int, o Options, elemSize int, forced string) (*Per
 	greedy := tensor.FactorGreedy(cs, cp)
 	inverse := tensor.FactorInverse(cs, cp)
 	if strategy == "" {
-		// Budget first: a factorization whose scratch floor exceeds the
-		// caller's bound is not a candidate (the reversal-method regime).
-		fits := func(steps []tensor.Step) bool {
-			return o.MaxScratchBytes <= 0 || elemSize <= 0 ||
-				tensor.ScratchFloor(steps, elemSize) <= o.MaxScratchBytes
+		// Budget first: a factorization whose passes need more scratch
+		// than the caller's bound, even at their narrowest panels, is
+		// not a candidate (the reversal-method regime).
+		fits := func(steps []tensor.Step) (bool, error) {
+			if o.MaxScratchBytes <= 0 || elemSize <= 0 {
+				return true, nil
+			}
+			built, err := buildSteps(steps, o, elemSize)
+			return err == nil && pp.peakScratch(built, elemSize) <= int64(o.MaxScratchBytes), err
 		}
-		gFit, iFit := fits(greedy), fits(inverse)
+		gFit, err := fits(greedy)
+		if err != nil {
+			return nil, err
+		}
+		iFit, err := fits(inverse)
+		if err != nil {
+			return nil, err
+		}
 		switch {
 		case gFit && iFit:
 			if tensor.Cost(inverse) < tensor.Cost(greedy) {
@@ -152,11 +163,17 @@ func planPermute(dims, perm []int, o Options, elemSize int, forced string) (*Per
 	default:
 		return nil, fmt.Errorf("%w %q", ErrUnknownMethod, strategy)
 	}
+	if pp.steps, err = buildSteps(steps, o, elemSize); err != nil {
+		return nil, err
+	}
+	return pp, nil
+}
 
-	pp.steps = make([]permStep, len(steps))
+// buildSteps plans every factored pass as a batched 2D transpose.
+func buildSteps(steps []tensor.Step, o Options, elemSize int) ([]permStep, error) {
+	built := make([]permStep, len(steps))
 	for i, st := range steps {
 		stepO := o
-		stepO.MaxScratchBytes = 0
 		if st.Slabs > 1 {
 			// The slab dimension provides the parallelism; each slab
 			// transposes single-threaded so pool dispatches never nest
@@ -172,9 +189,24 @@ func planPermute(dims, perm []int, o Options, elemSize int, forced string) (*Per
 		if err != nil {
 			return nil, err
 		}
-		pp.steps[i] = permStep{slabs: st.Slabs, stride: st.Rows * st.Cols, plan: p2}
+		built[i] = permStep{slabs: st.Slabs, stride: st.Rows * st.Cols, plan: p2}
 	}
-	return pp, nil
+	return built, nil
+}
+
+// peakScratch returns the most scratch any one pass of steps holds: a
+// single-slab pass holds its plan's, a multi-slab pass one
+// single-worker execution's per slab running at once.
+func (pp *PermutePlan) peakScratch(steps []permStep, elemSize int) int64 {
+	var peak int64
+	for _, st := range steps {
+		b := st.plan.scratchBytes(elemSize)
+		if st.slabs > 1 {
+			b *= int64(min(st.slabs, parallel.Workers(pp.workers)))
+		}
+		peak = max(peak, b)
+	}
+	return peak
 }
 
 // NewPermutePlan validates and factors a permutation plan without

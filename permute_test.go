@@ -264,6 +264,47 @@ func TestPermuteAxesScratchBudget(t *testing.T) {
 	}
 }
 
+// A cap between the narrowest and the default panels keeps the factored
+// strategy: its passes narrow their panels until every pass fits, and
+// the result stays correct. The same cap narrows a 2D plan.
+func TestScratchCapNarrowsPanels(t *testing.T) {
+	dims, perm := []int{2, 300, 40}, []int{0, 2, 1} // slabs of 300×40
+	o := Options{Workers: 1, Tuning: WisdomOff}
+	wide, err := NewPermutePlanner[uint32](dims, perm, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := wide.Plan().peakScratch(wide.Plan().steps, 4)
+	o.MaxScratchBytes = int(full / 2)
+	pl, err := NewPermutePlanner[uint32](dims, perm, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := pl.Plan().Strategy(); s == "cycle" {
+		t.Fatalf("cap %d of %d: strategy %q, want a factored one", o.MaxScratchBytes, full, s)
+	}
+	if got := pl.Plan().peakScratch(pl.Plan().steps, 4); got > int64(o.MaxScratchBytes) {
+		t.Fatalf("cap %d: passes hold %d scratch bytes", o.MaxScratchBytes, got)
+	}
+	size := 2 * 300 * 40
+	data := fillSeq(size)
+	want := naivePermute(fillSeq(size), dims, perm)
+	if err := pl.Execute(data); err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		if data[i] != want[i] {
+			t.Fatalf("capped permute wrong at %d", i)
+		}
+	}
+
+	b0, _ := ScratchBytes(300, 40, 4, Options{Workers: 1, Tuning: WisdomOff})
+	b1, _ := ScratchBytes(300, 40, 4, Options{Workers: 1, Tuning: WisdomOff, MaxScratchBytes: int(b0 / 2)})
+	if b1 > b0/2 {
+		t.Fatalf("2D cap %d: ScratchBytes %d (uncapped %d)", b0/2, b1, b0)
+	}
+}
+
 // Perm wisdom steers the planner: a recorded decision for the canonical
 // form must be picked up by a fresh planner, and WisdomRequired must be
 // satisfied by it.

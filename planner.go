@@ -11,10 +11,9 @@ import (
 
 // Planner binds a Plan to an element type and owns everything repeated
 // executions of the same shape can share: the precomputed pass schedule
-// (chunk partitions, rotation closures, fixed-point divisors), the
-// lazily-built cycle decomposition of the shared row permutation q, a
-// recycled scratch arena sized for the plan, and — for multi-worker
-// plans — the process-wide persistent worker pool. After the first
+// (chunk partitions, panel width, rotation closures, fixed-point
+// divisors), a recycled scratch arena sized for the plan, and — for
+// multi-worker plans — the process-wide persistent worker pool. After the first
 // Execute has warmed the arena, subsequent Executes perform no heap
 // allocation at all.
 //
@@ -52,7 +51,7 @@ func newPlanner[T any](p *Plan) *Planner[T] {
 		// process-wide pool instead of spawning goroutines per pass.
 		op.Pool = parallel.Shared()
 	}
-	return &Planner[T]{p: p, eng: core.NewEngine[T](core.NewSchedule(p.plan, op))}
+	return &Planner[T]{p: p, eng: core.NewEngine[T](core.NewSchedule(p.plan, op, int(reflect.TypeFor[T]().Size())))}
 }
 
 // Execute transposes data in place according to the plan. data must

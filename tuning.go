@@ -106,7 +106,7 @@ type TuneResult struct {
 	Method     Method
 	Direction  Direction
 	Workers    int
-	BlockWidth int
+	BlockWidth int     // cache-aware panel width in elements, 0 = default
 	GBps       float64 // throughput of the winning measurement
 }
 
@@ -123,7 +123,7 @@ func (r TuneResult) String() string {
 // Tune measures the real candidate space for transposing row-major
 // rows×cols arrays of T — pass pipeline (Algorithm1 scatter, gather,
 // cache-aware) vs. the skinny banded specialization, C2R vs. R2C
-// direction, worker counts up to the budget, cache-aware sub-row widths
+// direction, worker counts up to the budget, cache-aware panel widths
 // — with short repeatable runs and outlier-robust statistics, records
 // the winner in the process wisdom table, and returns it. Subsequent
 // planners for the shape (with Options.Tuning at WisdomAuto) use the
