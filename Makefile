@@ -96,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzWisdomRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/tune
 	$(GO) test -fuzz '^FuzzOOCRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/ooc
 	$(GO) test -fuzz '^FuzzTilestore$$' -fuzztime $(FUZZTIME) ./internal/tilestore
+	$(GO) test -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) ./internal/server/wire
 
 bench:
 	$(GO) test -bench . -benchmem .

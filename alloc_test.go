@@ -116,3 +116,25 @@ func TestExecuteZeroAllocTuned(t *testing.T) {
 		requireZeroAllocs(t, sh.rows, sh.cols, inplace.Options{Workers: 1, Tuning: inplace.WisdomRequired})
 	}
 }
+
+func TestPermuteExecuteZeroAllocSlabs(t *testing.T) {
+	// NHWC -> NCHW factors into a multi-slab pass (one 2D transpose per
+	// batch image): the warm pass dispatches a recycled run over its
+	// planned slab partition, so it allocates nothing either, at one
+	// worker and across the shared pool.
+	for _, workers := range []int{1, 2} {
+		pl, err := inplace.NewPermutePlanner[uint64]([]int{2, 8, 8, 4}, []int{0, 3, 1, 2}, inplace.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]uint64, 2*8*8*4)
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := pl.Execute(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("PermutePlanner.Execute(2x8x8x4, [0,3,1,2]) at %d workers allocates %.1f times per run, want 0", workers, allocs)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 // Package client is the Go client for the xposed transpose daemon: it
 // speaks the internal/server/wire protocol over one TCP connection and
 // exposes in-place transposition of byte matrices as blocking calls.
-// Results are verified end-to-end with CRC64-ECMA. Failures the server
+// Results are verified end to end with the checksum of the session's
+// protocol version: CRC32C on a version-2 session, CRC64-ECMA when an
+// older, version-1 server acks the handshake. Failures the server
 // reports without poisoning the connection come back as typed errors —
 // *ShedError carries the admission controller's retry hint, and every
 // other server-side code is a *RemoteError — so callers branch with
@@ -19,7 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"net"
 	"time"
@@ -51,8 +52,8 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("client: server error code %d: %s", e.Code, e.Msg)
 }
 
-// ErrChecksum reports a result stream whose CRC64 did not match the
-// server's Result header.
+// ErrChecksum reports a result stream whose checksum (CRC32C, or CRC64
+// on a version-1 session) did not match the server's Result header.
 var ErrChecksum = errors.New("client: result checksum mismatch")
 
 // ErrProtocol reports a frame the client-side state machine cannot
@@ -77,6 +78,13 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn)
+}
+
+// newClient performs the handshake on conn: it offers wire.Version and
+// accepts an ack of any version from wire.MinVersion up to it, so an
+// older server is verified with its own result checksum.
+func newClient(conn net.Conn) (*Client, error) {
 	c := &Client{
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 64<<10),
@@ -105,7 +113,7 @@ func Dial(addr string) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	if c.ack.Version != wire.Version {
+	if c.ack.Version < wire.MinVersion || c.ack.Version > wire.Version {
 		conn.Close()
 		return nil, wire.ErrBadVersion
 	}
@@ -271,14 +279,11 @@ func (c *Client) download(data []byte) error {
 	if off != len(data) {
 		return fmt.Errorf("%w: result short: %d of %d bytes", ErrProtocol, off, len(data))
 	}
-	if crc64.Checksum(data, crcTab) != res.CRC {
+	if wire.ResultSum(c.ack.Version, 0, data) != res.CRC {
 		return ErrChecksum
 	}
 	return nil
 }
-
-// crcTab is the CRC64-ECMA table, matching the server's.
-var crcTab = crc64.MakeTable(crc64.ECMA)
 
 // readFrame reads one control frame into the client's scratch buffer.
 func (c *Client) readFrame() (wire.Type, []byte, error) {

@@ -19,6 +19,11 @@
 // deterministic JSON) and GET /healthz. Without -spill, jobs larger
 // than -mem-limit are rejected instead of spilled.
 //
+// Results are checksummed with CRC32C on wire protocol version 2.
+// Clients of version 1 are still served, with CRC64 results as before,
+// but a version-1 daemon refuses a version-2 client's Hello: upgrade
+// the daemon before its clients.
+//
 // Spilled jobs resume from their out-of-core journal, and a journal
 // resumes only under the journal format version that wrote it: drain
 // the spill directory (let clients finish or Resume their jobs) before

@@ -17,7 +17,9 @@
 // (stdin by default) and seals the dataset; a kill at any point leaves
 // the dataset absent, never torn. scan and project write raw bytes to
 // -out (stdout by default). verify re-reads every column segment
-// against its CRC64 frame. stats exercises repeated scans and prints
+// against its frame: a CRC64-checked header and the payload's CRC32C
+// (CRC64 in datasets written before format version 2, which still
+// open, verify and scan). stats exercises repeated scans and prints
 // the handle's cache and I/O counters as JSON. selftest builds a
 // scratch dataset and asserts the store's three load-bearing
 // properties: projections touch fewer backend bytes than scans, warm

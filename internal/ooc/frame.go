@@ -2,6 +2,7 @@ package ooc
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"hash/crc64"
 	"io"
 )
@@ -13,9 +14,10 @@ var byteOrder = binary.LittleEndian
 // the columnar tile store (internal/tilestore). A frame is a fixed
 // 48-byte header followed by an arbitrary payload: the header carries
 // the payload length and a caller-computed 64-bit payload checksum
-// (CRC64-ECMA in the tile store, CRC32C zero-extended in the version-2
-// journal) plus three caller-defined identity fields, and is itself
-// closed by a CRC64 over its first 40 bytes. A single flipped bit
+// (CRC32C zero-extended, see CRC32C, in the version-2 journal and the
+// version-2 tile store; CRC64-ECMA in version-1 tile stores) plus
+// three caller-defined identity fields, and is itself closed by a
+// CRC64 over its first 40 bytes. A single flipped bit
 // anywhere — header or payload — is therefore detectable without
 // trusting any other byte of the file, which is what lets both
 // consumers treat "first frame that fails validation" as the logical
@@ -43,15 +45,40 @@ type Frame struct {
 	Gen        uint64
 }
 
-// Checksum returns the CRC64-ECMA checksum of p, the table behind every
-// frame and journal header and the tile store's payload sums. Journal
-// record payloads and segment commits use CRC32C instead.
+// Checksum returns the CRC64-ECMA checksum of p, the sum behind every
+// frame and journal header. Payloads are summed with CRC32C instead
+// (only version-1 tile stores summed their segments with Checksum).
 func Checksum(p []byte) uint64 { return crc64.Checksum(p, crcTab) }
 
-// ChecksumUpdate folds p into a running checksum, so a payload can be
-// summed incrementally while it streams past (start from 0; the result
-// after the final piece equals Checksum over the concatenation).
-func ChecksumUpdate(sum uint64, p []byte) uint64 { return crc64.Update(sum, crcTab, p) }
+var (
+	crcTab     = crc64.MakeTable(crc64.ECMA)
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+)
+
+// CRC32C returns the payload checksum of p: hardware CRC32C
+// (Castagnoli), zero-extended to the frame's 64-bit sum field. The
+// journal, the tile store and the xposed result stream all sum their
+// payloads with it.
+func CRC32C(p []byte) uint64 { return uint64(crc32.Checksum(p, castagnoli)) }
+
+// CRC32CUpdate folds p into a running CRC32C, so a payload can be
+// summed while it streams past (start from 0; the result after the
+// final piece equals CRC32C over the concatenation).
+func CRC32CUpdate(sum uint64, p []byte) uint64 {
+	return uint64(crc32.Update(uint32(sum), castagnoli, p))
+}
+
+// CRC32CRange computes CRC32C over n bytes at off without holding the
+// range resident: payload verification for frames too large to buffer.
+// A range running past EOF sums only the bytes present, so the caller's
+// recorded sum then mismatches.
+func CRC32CRange(r io.ReaderAt, off, n int64) (uint64, error) {
+	h := crc32.New(castagnoli)
+	if _, err := io.Copy(h, io.NewSectionReader(r, off, n)); err != nil {
+		return 0, err
+	}
+	return uint64(h.Sum32()), nil
+}
 
 // PutFrame encodes f into dst, which must be at least FrameHeaderSize
 // bytes. The final 8 bytes are the CRC64 of the preceding 40, so a
@@ -84,15 +111,4 @@ func ParseFrame(src []byte) (f Frame, ok bool) {
 	f.PayloadSum = byteOrder.Uint64(src[24:32])
 	f.Gen = byteOrder.Uint64(src[32:40])
 	return f, true
-}
-
-// ChecksumRange computes the CRC64-ECMA checksum of n bytes at off
-// without holding the range resident: payload verification for frames
-// too large to buffer.
-func ChecksumRange(r io.ReaderAt, off, n int64) (uint64, error) {
-	h := crc64.New(crcTab)
-	if _, err := io.Copy(h, io.NewSectionReader(r, off, n)); err != nil {
-		return 0, err
-	}
-	return h.Sum64(), nil
 }

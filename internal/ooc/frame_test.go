@@ -2,6 +2,7 @@ package ooc
 
 import (
 	"bytes"
+	"hash/crc32"
 	"hash/crc64"
 	"testing"
 )
@@ -61,6 +62,23 @@ func TestChecksumMatchesReference(t *testing.T) {
 	}
 }
 
+func TestCRC32CMatchesReference(t *testing.T) {
+	p := []byte("the quick brown fox jumps over the lazy dog")
+	want := uint64(crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+	if got := CRC32C(p); got != want {
+		t.Fatalf("CRC32C = %016x, want Castagnoli reference %016x", got, want)
+	}
+	// Streaming in uneven pieces from 0 gives the one-shot sum.
+	var sum uint64
+	for _, piece := range [][]byte{p[:1], p[1:17], p[17:17], p[17:]} {
+		sum = CRC32CUpdate(sum, piece)
+	}
+	if sum != want {
+		t.Fatalf("CRC32CUpdate over pieces = %016x, want %016x", sum, want)
+	}
+}
+
+// TestChecksumRange checks the ranged payload sum, CRC32CRange.
 func TestChecksumRange(t *testing.T) {
 	payload := make([]byte, 10000)
 	for i := range payload {
@@ -68,20 +86,20 @@ func TestChecksumRange(t *testing.T) {
 	}
 	backing := append(append(make([]byte, 0, len(payload)+64), make([]byte, 32)...), payload...)
 	r := bytes.NewReader(backing)
-	got, err := ChecksumRange(r, 32, int64(len(payload)))
+	got, err := CRC32CRange(r, 32, int64(len(payload)))
 	if err != nil {
-		t.Fatalf("ChecksumRange: %v", err)
+		t.Fatalf("CRC32CRange: %v", err)
 	}
-	if want := Checksum(payload); got != want {
-		t.Fatalf("ChecksumRange = %016x, want %016x", got, want)
+	if want := CRC32C(payload); got != want {
+		t.Fatalf("CRC32CRange = %016x, want %016x", got, want)
 	}
 	// A range running past EOF checksums only the available bytes
 	// (io.Copy treats EOF as normal termination); the caller's recorded
-	// checksum then mismatches, which is how torn journal payloads and
-	// truncated segments are detected.
-	short, err := ChecksumRange(r, 32, int64(len(backing)))
+	// checksum then mismatches, which is how torn journal payloads are
+	// detected.
+	short, err := CRC32CRange(r, 32, int64(len(backing)))
 	if err != nil {
-		t.Fatalf("ChecksumRange past EOF: %v", err)
+		t.Fatalf("CRC32CRange past EOF: %v", err)
 	}
 	if short != got {
 		t.Fatalf("past-EOF range checksummed %016x, want the available-bytes checksum %016x", short, got)

@@ -3,7 +3,6 @@ package ooc
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"hash/crc64"
 	"io"
 	"time"
@@ -24,11 +23,11 @@ import (
 // record decides its state: an intent after a commit (a resume rolled
 // the unit back and was killed re-executing it) makes it intent-only.
 //
-// Version 2 sums record payloads and commits with hardware CRC32C
-// (Castagnoli), zero-extended into the frame's 64-bit PayloadSum; frame
-// and journal headers keep their CRC64. Version 1 journals recorded the
-// four-pass schedule with a separate rotation and row permute, which no
-// longer exists, so resuming one fails with ErrJournalMismatch.
+// Version 2 sums record payloads and commits with CRC32C, zero-extended
+// into the frame's 64-bit PayloadSum; frame and journal headers keep
+// their CRC64. Version 1 journals recorded the four-pass schedule with
+// a separate rotation and row permute, which no longer exists, so
+// resuming one fails with ErrJournalMismatch.
 //
 // Torn trailing records are the expected shape of a crash: scanning
 // stops at the first record whose header or payload checksum fails, or
@@ -48,25 +47,6 @@ const (
 	recCommit   = 2 // payload: 8-byte CRC32C of the transformed panel
 	recPassDone = 3 // payload: empty
 )
-
-var (
-	crcTab     = crc64.MakeTable(crc64.ECMA)
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
-)
-
-// crc32c is the journal's payload and commit checksum: hardware CRC32C,
-// zero-extended to the frame's 64-bit sum field.
-func crc32c(p []byte) uint64 { return uint64(crc32.Checksum(p, castagnoli)) }
-
-// crc32cRange computes crc32c over n bytes at off without holding the
-// range resident.
-func crc32cRange(r io.ReaderAt, off, n int64) (uint64, error) {
-	h := crc32.New(castagnoli)
-	if _, err := io.Copy(h, io.NewSectionReader(r, off, n)); err != nil {
-		return 0, err
-	}
-	return uint64(h.Sum32()), nil
-}
 
 // journal is an open journal with an append cursor. The runner appends
 // from a single goroutine.
@@ -225,12 +205,12 @@ func openJournal(b Backend, s *schedule, cfg Config, ctr *counters) (*journal, *
 			if plen != 8 {
 				break // not a commit this version writes
 			}
-			if _, err := io.ReadFull(io.NewSectionReader(b, payloadOff, 8), sb[:]); err != nil || crc32c(sb[:]) != fr.PayloadSum {
+			if _, err := io.ReadFull(io.NewSectionReader(b, payloadOff, 8), sb[:]); err != nil || CRC32C(sb[:]) != fr.PayloadSum {
 				break // torn payload
 			}
 			commitSum = binary.LittleEndian.Uint64(sb[:])
 		} else if plen > 0 {
-			sum, err := crc32cRange(b, payloadOff, plen)
+			sum, err := CRC32CRange(b, payloadOff, plen)
 			if err != nil || sum != fr.PayloadSum {
 				break // torn payload
 			}
@@ -275,7 +255,7 @@ func (j *journal) append(kind byte, pass, unit int, payload []byte) error {
 		Tag:        uint32(pass),
 		Unit:       uint64(unit),
 		PayloadLen: uint64(len(payload)),
-		PayloadSum: crc32c(payload),
+		PayloadSum: CRC32C(payload),
 		Gen:        j.runID,
 	})
 	if _, err := j.b.WriteAt(rh[:], j.end); err != nil {

@@ -168,7 +168,7 @@ func (r *runner) runPass(pi int, p pass, skip map[int]commitRec, sums map[int]ui
 			return err
 		}
 		if r.jrn != nil {
-			sum := crc32c(buf)
+			sum := CRC32C(buf)
 			if sums != nil {
 				sums[u] = sum
 			}
@@ -192,7 +192,7 @@ func (r *runner) recheckCommits(p pass, st *resumeState) error {
 		if err := r.readUnit(g, buf); err != nil {
 			return err
 		}
-		if crc32c(buf) != c.sum {
+		if CRC32C(buf) != c.sum {
 			st.intents[u] = c.undo // restoreIntents rejects a missing image
 			delete(st.committed, u)
 		}
@@ -236,7 +236,7 @@ func (r *runner) verifyFinal(p pass, sums map[int]uint64) error {
 		if err := r.readUnit(g, buf); err != nil {
 			return err
 		}
-		if got := crc32c(buf); got != want {
+		if got := CRC32C(buf); got != want {
 			return corruptSegmentErr(len(r.sched.passes)-1, u, want, got)
 		}
 	}

@@ -13,7 +13,6 @@ package server
 import (
 	"bufio"
 	"errors"
-	"hash/crc64"
 	"io"
 	"net"
 	"os"
@@ -35,9 +34,6 @@ var errBadElem = errors.New("server: invalid shape or element width")
 // accept; the connection is closed because the stream position is no
 // longer trustworthy.
 var errBadSequence = errors.New("server: protocol sequence violation")
-
-// crcTab is the CRC64-ECMA table used for result checksums.
-var crcTab = crc64.MakeTable(crc64.ECMA)
 
 // bufPool recycles data-plane buffers. It stores *[]byte (never bare
 // slices) so Put does not box a new header allocation per cycle.
@@ -310,7 +306,8 @@ func (s *Server) handleConn(c net.Conn) {
 	var hdr [wire.HeaderLen]byte
 	var ctrl [wire.MaxControlFrame]byte
 
-	// Handshake: exactly one Hello, answered with the session limits.
+	// Handshake: exactly one Hello, answered in the client's protocol
+	// version (which picks the result checksum) with the session limits.
 	t, n, err := wire.ReadHeader(br, &hdr, s.cfg.MaxData)
 	if err != nil || t != wire.TypeHello {
 		s.protoErrs.Inc()
@@ -321,13 +318,14 @@ func (s *Server) handleConn(c net.Conn) {
 		return
 	}
 	var hello wire.Hello
-	if err := hello.Unmarshal(ctrl[:n]); err != nil || hello.Version != wire.Version {
+	if err := hello.Unmarshal(ctrl[:n]); err != nil || hello.Version < wire.MinVersion || hello.Version > wire.Version {
 		s.protoErrs.Inc()
 		s.writeError(bw, &hdr, wire.CodeBadSequence, 0, "unsupported hello")
 		return
 	}
+	ver := hello.Version
 	ack := wire.HelloAck{
-		Version:  wire.Version,
+		Version:  ver,
 		MaxData:  uint32(s.cfg.MaxData),
 		MemLimit: uint64(s.cfg.MemJobLimit),
 		Budget:   uint64(s.cfg.MaxInFlightBytes),
@@ -363,7 +361,7 @@ func (s *Server) handleConn(c net.Conn) {
 				s.protoErrs.Inc()
 				return
 			}
-			if err := s.serveJob(br, bw, &hdr, job); err != nil {
+			if err := s.serveJob(br, bw, &hdr, ver, job); err != nil {
 				s.protoErrs.Inc()
 				return
 			}
@@ -377,7 +375,7 @@ func (s *Server) handleConn(c net.Conn) {
 				s.protoErrs.Inc()
 				return
 			}
-			if err := s.serveResume(br, bw, &hdr, rsm); err != nil {
+			if err := s.serveResume(br, bw, &hdr, ver, rsm); err != nil {
 				s.protoErrs.Inc()
 				return
 			}
@@ -454,9 +452,10 @@ func (s *Server) admitOrReport(bw *bufio.Writer, hdr *[wire.HeaderLen]byte, cost
 	}
 }
 
-// serveJob runs one fresh job exchange. A nil return means the
-// connection is still frame-aligned and usable; an error closes it.
-func (s *Server) serveJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.HeaderLen]byte, job wire.Job) error {
+// serveJob runs one fresh job exchange on a session of protocol
+// version ver. A nil return means the connection is still frame-aligned
+// and usable; an error closes it.
+func (s *Server) serveJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.HeaderLen]byte, ver uint16, job wire.Job) error {
 	s.jobs.Inc()
 	g, gerr := checkJob(job.Rows, job.Cols, job.Elem)
 	if gerr != nil {
@@ -472,14 +471,14 @@ func (s *Server) serveJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.HeaderL
 	}
 
 	if !spill {
-		return s.serveMemJob(br, bw, hdr, job.Token, g, memCost)
+		return s.serveMemJob(br, bw, hdr, ver, job.Token, g, memCost)
 	}
-	return s.serveSpillJob(br, bw, hdr, job.Token, g)
+	return s.serveSpillJob(br, bw, hdr, ver, job.Token, g)
 }
 
 // serveMemJob is the in-memory data plane: admit, upload, transpose
 // (coalesced when small), stream back.
-func (s *Server) serveMemJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.HeaderLen]byte, token uint64, g jobGeom, cost int64) error {
+func (s *Server) serveMemJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.HeaderLen]byte, ver uint16, token uint64, g jobGeom, cost int64) error {
 	release, ok, werr := s.admitOrReport(bw, hdr, cost)
 	if !ok {
 		return werr
@@ -517,7 +516,7 @@ func (s *Server) serveMemJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.Head
 		return s.writeError(bw, hdr, code, 0, xerr.Error())
 	}
 
-	return s.sendResult(bw, hdr, token, wire.ModeMemory, crc64.Checksum(buf, crcTab), func(yield func([]byte) error) error {
+	return s.sendResult(bw, hdr, token, wire.ModeMemory, wire.ResultSum(ver, 0, buf), func(yield func([]byte) error) error {
 		for off := int64(0); off < g.total; off += int64(s.cfg.MaxData) {
 			end := off + int64(s.cfg.MaxData)
 			if end > g.total {
@@ -534,7 +533,7 @@ func (s *Server) serveMemJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.Head
 // serveSpillJob is the out-of-core data plane for a fresh job: the
 // payload streams to a journaled temp file and the exchange is
 // resumable by token from any interruption point.
-func (s *Server) serveSpillJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.HeaderLen]byte, token uint64, g jobGeom) error {
+func (s *Server) serveSpillJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.HeaderLen]byte, ver uint16, token uint64, g jobGeom) error {
 	j, ok := s.spills.create(token, g.rows, g.cols, g.elem, g.total)
 	if !ok {
 		return s.writeError(bw, hdr, wire.CodeBusy, 0, "server: token already in use")
@@ -556,12 +555,12 @@ func (s *Server) serveSpillJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.He
 	if err := s.sendAccept(bw, hdr, token, wire.ModeSpill, 0); err != nil {
 		return err
 	}
-	return s.driveSpill(br, bw, hdr, j)
+	return s.driveSpill(br, bw, hdr, ver, j)
 }
 
 // serveResume reattaches a client to a spilled job, picking up the
 // upload, the transform, or the download wherever it stopped.
-func (s *Server) serveResume(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.HeaderLen]byte, rsm wire.Resume) error {
+func (s *Server) serveResume(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.HeaderLen]byte, ver uint16, rsm wire.Resume) error {
 	s.jobs.Inc()
 	if s.spills == nil {
 		return s.writeError(bw, hdr, wire.CodeUnknownToken, 0, "server: spilling disabled")
@@ -599,13 +598,13 @@ func (s *Server) serveResume(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.Head
 	if err := s.sendAccept(bw, hdr, rsm.Token, wire.ModeSpill, uint64(offset)); err != nil {
 		return err
 	}
-	return s.driveSpill(br, bw, hdr, j)
+	return s.driveSpill(br, bw, hdr, ver, j)
 }
 
 // driveSpill advances a spilled job from its current state to
 // completion: finish the upload, run (or resume) the out-of-core
 // transform, then stream the result back and retire the token.
-func (s *Server) driveSpill(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.HeaderLen]byte, j *spillJob) error {
+func (s *Server) driveSpill(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.HeaderLen]byte, ver uint16, j *spillJob) error {
 	token := j.meta.Token
 
 	if j.state() == spillUploading {
@@ -627,7 +626,7 @@ func (s *Server) driveSpill(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.Heade
 		}
 	}
 
-	if err := s.sendSpillResult(bw, hdr, j); err != nil {
+	if err := s.sendSpillResult(bw, hdr, ver, j); err != nil {
 		// Disconnect mid-download: state stays done, the client can
 		// Resume and re-download.
 		return err
@@ -697,8 +696,9 @@ func (s *Server) runSpill(j *spillJob) error {
 	return err
 }
 
-// sendSpillResult checksums the transposed file and streams it back.
-func (s *Server) sendSpillResult(bw *bufio.Writer, hdr *[wire.HeaderLen]byte, j *spillJob) error {
+// sendSpillResult checksums the transposed file with the session's
+// result sum and streams it back.
+func (s *Server) sendSpillResult(bw *bufio.Writer, hdr *[wire.HeaderLen]byte, ver uint16, j *spillJob) error {
 	token := j.meta.Token
 	f, err := os.Open(s.spills.datPath(token))
 	if err != nil {
@@ -710,7 +710,7 @@ func (s *Server) sendSpillResult(bw *bufio.Writer, hdr *[wire.HeaderLen]byte, j 
 	defer putBuf(chunkp)
 	chunk := *chunkp
 
-	h := crc64.New(crcTab)
+	var sum uint64
 	for off := int64(0); off < j.total; {
 		n := int64(len(chunk))
 		if off+n > j.total {
@@ -719,11 +719,11 @@ func (s *Server) sendSpillResult(bw *bufio.Writer, hdr *[wire.HeaderLen]byte, j 
 		if _, err := f.ReadAt(chunk[:n], off); err != nil {
 			return s.writeError(bw, hdr, wire.CodeInternal, 0, err.Error())
 		}
-		h.Write(chunk[:n])
+		sum = wire.ResultSum(ver, sum, chunk[:n])
 		off += n
 	}
 
-	return s.sendResult(bw, hdr, token, wire.ModeSpill, h.Sum64(), func(yield func([]byte) error) error {
+	return s.sendResult(bw, hdr, token, wire.ModeSpill, sum, func(yield func([]byte) error) error {
 		for off := int64(0); off < j.total; {
 			n := int64(len(chunk))
 			if off+n > j.total {

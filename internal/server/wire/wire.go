@@ -11,28 +11,54 @@
 // the 5 header bytes and a size bound, so a torn connection fails with
 // ErrTruncated rather than a desynchronized stream.
 //
-// A session is: client sends Hello, server answers HelloAck (with its
-// negotiated data-frame ceiling and admission limits), then any number
-// of job exchanges. A job exchange is Job (or Resume) → Accept or
-// Error → Data* upload → Result → Data* download → Done. Error frames
-// may replace Accept (admission shed, invalid shape) and abort the
-// exchange without poisoning the connection.
+// A session is: client sends Hello, server answers HelloAck (with the
+// session's protocol version, its negotiated data-frame ceiling and
+// admission limits), then any number of job exchanges. A job exchange
+// is Job (or Resume) → Accept or Error → Data* upload → Result → Data*
+// download → Done. Error frames may replace Accept (admission shed,
+// invalid shape) and abort the exchange without poisoning the
+// connection.
+//
+// Versions 1 and 2 share every frame layout and differ only in the
+// checksum a Result carries (see ResultSum): CRC64-ECMA in version 1,
+// CRC32C in version 2. A server answers a Hello of any version in
+// [MinVersion, Version] with an ack of the same version, so version-1
+// clients keep working; a client verifies results by the acked version.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"io"
+
+	"inplace/internal/ooc"
 )
 
 // Magic opens every Hello payload: "XPSD".
 const Magic uint32 = 0x58505344
 
-// Version is the protocol version this package speaks. Hello carries
-// the client's version; the server rejects mismatches with ErrBadVersion
-// rather than guessing at frame layouts.
-const Version uint16 = 1
+// Version is the newest protocol version this package speaks. Hello
+// carries the client's version; the server answers any version in
+// [MinVersion, Version] in kind and rejects others rather than guessing
+// at frame layouts.
+const Version uint16 = 2
+
+// MinVersion is the oldest protocol version still served.
+const MinVersion uint16 = 1
+
+var crcTab = crc64.MakeTable(crc64.ECMA)
+
+// ResultSum folds p into a running Result.CRC of a session at the given
+// protocol version (start from 0): CRC32C, zero-extended (ooc.CRC32C),
+// from version 2 on, CRC64-ECMA on version 1.
+func ResultSum(version uint16, sum uint64, p []byte) uint64 {
+	if version == 1 {
+		return crc64.Update(sum, crcTab, p)
+	}
+	return ooc.CRC32CUpdate(sum, p)
+}
 
 // HeaderLen is the fixed frame-header size: uint32 payload length plus
 // one type byte.
@@ -376,8 +402,9 @@ func (m *Accept) Unmarshal(p []byte) error {
 // ResultLen is the Result payload size: token u64, mode u8, crc u64.
 const ResultLen = 17
 
-// Result announces a completed job; CRC is the CRC64-ECMA of the
-// transposed payload about to stream back in Data frames.
+// Result announces a completed job; CRC is the ResultSum, at the
+// session's version, of the transposed payload about to stream back in
+// Data frames.
 type Result struct {
 	Token uint64
 	Mode  uint8

@@ -3,6 +3,7 @@ package tilestore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,18 +16,45 @@ import (
 // dataset either still succeeds (a flip in the unused header pad) or
 // fails with a typed sentinel — never a panic, never a silent wrong
 // answer. This is the end-to-end guarantee the per-frame checksums buy.
+// It runs over a freshly ingested dataset and over both committed
+// golden fixtures, so the CRC64 (v1) and CRC32C (v2) payload sums are
+// each held to it.
 func TestCorruptionMatrix(t *testing.T) {
-	s := Schema{Rows: 6, Fields: 2, ElemSize: 2, ChunkRows: 4}
-	aos := makeAoS(s.Rows, s.Fields, s.ElemSize)
-	_, dir := buildDataset(t, s, aos, Options{Registry: stats.NewRegistry()})
+	t.Run("small", func(t *testing.T) {
+		s := Schema{Rows: 6, Fields: 2, ElemSize: 2, ChunkRows: 4}
+		aos := makeAoS(s.Rows, s.Fields, s.ElemSize)
+		_, dir := buildDataset(t, s, aos, Options{Registry: stats.NewRegistry()})
+		corruptionMatrix(t, dir, s.Rows, aos)
+	})
+	for _, version := range []int{1, 2} {
+		t.Run(fmt.Sprintf("golden_v%d", version), func(t *testing.T) {
+			corruptionMatrix(t, fixtureDir(t, version), goldenSchema.Rows, goldenAoS())
+		})
+	}
+}
 
+// corruptionMatrix flips every byte of dir's data file in turn; rows
+// and aos are the dataset's row count and ingested records.
+func corruptionMatrix(t *testing.T, dir string, rows int, aos []byte) {
 	pristine, err := os.ReadFile(filepath.Join(dir, dataFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// readAll opens the dataset and drives every read path.
-	readAll := func(dir string) (err error) {
+	// Each read path must catch a flip on its own, on a fresh handle:
+	// the block-cache miss behind every scan and projection, and Verify.
+	scan := func(d *Dataset) error {
+		buf := make([]byte, len(aos))
+		if err := d.ScanRows(buf, 0, rows); err != nil {
+			return err
+		}
+		if !bytes.Equal(buf, aos) {
+			t.Fatal("corrupted dataset read back wrong bytes without an error")
+		}
+		return nil
+	}
+	verify := (*Dataset).Verify
+	readWith := func(dir string, read func(*Dataset) error) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				t.Fatalf("panic on corrupted dataset: %v", r)
@@ -37,17 +65,7 @@ func TestCorruptionMatrix(t *testing.T) {
 			return err
 		}
 		defer d.Close()
-		if err := d.Verify(); err != nil {
-			return err
-		}
-		buf := make([]byte, len(aos))
-		if err := d.ScanRows(buf, 0, s.Rows); err != nil {
-			return err
-		}
-		if !bytes.Equal(buf, aos) {
-			t.Fatal("corrupted dataset read back wrong bytes without an error")
-		}
-		return nil
+		return read(d)
 	}
 
 	meta, err := os.ReadFile(filepath.Join(dir, metaFileName))
@@ -69,12 +87,18 @@ func TestCorruptionMatrix(t *testing.T) {
 		}
 		// Every byte is covered: the dataset header's CRC spans its pad,
 		// and each segment is under its frame's header or payload CRC.
-		readErr := readAll(corrupted)
-		if readErr == nil {
-			t.Fatalf("flip of byte %d went undetected", i)
-		}
-		if !errors.Is(readErr, ErrBadSchema) && !errors.Is(readErr, ErrCorruptChunk) {
-			t.Fatalf("flip of byte %d produced untyped error: %v", i, readErr)
+		for _, path := range []struct {
+			name string
+			read func(*Dataset) error
+		}{{"scan", scan}, {"verify", verify}} {
+			name := path.name
+			readErr := readWith(corrupted, path.read)
+			if readErr == nil {
+				t.Fatalf("flip of byte %d went undetected by %s", i, name)
+			}
+			if !errors.Is(readErr, ErrBadSchema) && !errors.Is(readErr, ErrCorruptChunk) {
+				t.Fatalf("flip of byte %d produced untyped error in %s: %v", i, name, readErr)
+			}
 		}
 	}
 }

@@ -6,8 +6,9 @@
 // so every column lands contiguous on disk. Scans and projections then
 // read coalesced column segments — the storage analogue of the
 // memory-coalescing argument the transpose kernels make — through a
-// capacity-bounded block cache, verifying the CRC64 frame every
-// segment is stored under.
+// capacity-bounded block cache, verifying the checksummed frame every
+// segment is stored under (CRC32C payload sums in format version 2,
+// CRC64 in version 1, which Open still reads).
 //
 // Durability follows the xposed spill registry's meta state machine:
 // the data file is written first, and meta.json flips atomically from
@@ -105,7 +106,7 @@ type Dataset struct {
 // returned handle accepts Ingest calls and must be sealed (normally by
 // Ingest itself) before any Open sees the dataset.
 func Create(dir string, s Schema, opts Options) (*Dataset, error) {
-	g, err := newGeom(s)
+	g, err := newGeom(s, formatVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -144,6 +145,11 @@ func OpenIngest(dir string, opts Options) (*Dataset, error) {
 	}
 	if m.State != stateIngesting {
 		return nil, stateErr("ingest", m.State)
+	}
+	if g.version != formatVersion {
+		// Nothing of an unsealed dataset is visible yet: an older
+		// format restarts at the current one.
+		return Create(dir, g.s, opts)
 	}
 	f, err := os.OpenFile(dataPath(dir), os.O_RDWR, 0)
 	if err != nil {
@@ -209,7 +215,7 @@ func openValidated(dir string) (metaFile, geom, error) {
 	if err != nil {
 		return metaFile{}, geom{}, err
 	}
-	if hg.s != g.s || hg.gen != g.gen {
+	if hg.s != g.s || hg.gen != g.gen || hg.version != g.version {
 		return metaFile{}, geom{}, headerErr("meta and data header disagree")
 	}
 	return m, g, nil
@@ -250,7 +256,7 @@ func newDataset(dir string, g geom, f *os.File, state int, opts Options) (*Datas
 func (d *Dataset) meta(state int) metaFile {
 	return metaFile{
 		Magic:      "xtile",
-		Version:    formatVersion,
+		Version:    int(d.g.version),
 		Rows:       d.g.s.Rows,
 		Fields:     d.g.s.Fields,
 		ElemSize:   d.g.s.ElemSize,
@@ -339,7 +345,7 @@ func (d *Dataset) block(chunk, col int) ([]byte, error) {
 	if err := d.readAt(buf, off+ooc.FrameHeaderSize); err != nil {
 		return nil, err
 	}
-	if sum := ooc.Checksum(buf); sum != fr.PayloadSum {
+	if sum := d.g.sum(buf); sum != fr.PayloadSum {
 		return nil, corruptSumErr(chunk, col, fr.PayloadSum, sum)
 	}
 	return d.cache.put(key, buf), nil
@@ -366,6 +372,8 @@ func (d *Dataset) checkFrame(fr ooc.Frame, chunk, col, payload int) error {
 // Verify re-reads every segment of the dataset and checks its frame
 // and payload checksum, without populating the cache: the integrity
 // scan behind xposestore verify and the selftest's kill/recover check.
+// Each segment (frame header and payload) is one metered read into one
+// buffer reused across segments.
 func (d *Dataset) Verify() error {
 	if fi, err := d.f.Stat(); err != nil {
 		return err
@@ -373,28 +381,22 @@ func (d *Dataset) Verify() error {
 		return fmt.Errorf("%w: data file holds %d bytes, schema requires %d",
 			ErrCorruptChunk, fi.Size(), d.g.dataBytes)
 	}
-	var hdr [ooc.FrameHeaderSize]byte
+	buf := make([]byte, ooc.FrameHeaderSize+d.g.segBytes)
 	for c := 0; c < d.g.chunks; c++ {
 		payload := d.g.segPayload(c)
+		seg := buf[:ooc.FrameHeaderSize+payload]
 		for col := 0; col < d.g.s.Fields; col++ {
-			off := d.g.segOff(c, col)
-			if err := d.readAt(hdr[:], off); err != nil {
+			if err := d.readAt(seg, d.g.segOff(c, col)); err != nil {
 				return err
 			}
-			fr, ok := ooc.ParseFrame(hdr[:])
+			fr, ok := ooc.ParseFrame(seg[:ooc.FrameHeaderSize])
 			if !ok {
 				return corruptErr(c, col, "frame header checksum mismatch")
 			}
 			if err := d.checkFrame(fr, c, col, payload); err != nil {
 				return err
 			}
-			sum, err := ooc.ChecksumRange(d.f, off+ooc.FrameHeaderSize, int64(payload))
-			d.ctr.readOps.inc()
-			d.ctr.bytesRead.add(uint64(payload))
-			if err != nil {
-				return fmt.Errorf("tilestore: verifying chunk %d column %d: %w", c, col, err)
-			}
-			if sum != fr.PayloadSum {
+			if sum := d.g.sum(seg[ooc.FrameHeaderSize:]); sum != fr.PayloadSum {
 				return corruptSumErr(c, col, fr.PayloadSum, sum)
 			}
 		}

@@ -28,11 +28,11 @@ func TestErrorSentinels(t *testing.T) {
 			return err
 		}(), ErrBadSchema},
 		{"schema negative field", func() error {
-			_, err := newGeom(Schema{Rows: 1, Fields: -1, ElemSize: 1, ChunkRows: 1})
+			_, err := newGeom(Schema{Rows: 1, Fields: -1, ElemSize: 1, ChunkRows: 1}, formatVersion)
 			return err
 		}(), ErrBadSchema},
 		{"schema overflow", func() error {
-			_, err := newGeom(Schema{Rows: 1 << 40, Fields: 1 << 40, ElemSize: 1 << 20, ChunkRows: 1})
+			_, err := newGeom(Schema{Rows: 1 << 40, Fields: 1 << 40, ElemSize: 1 << 20, ChunkRows: 1}, formatVersion)
 			return err
 		}(), ErrBadSchema},
 		{"project column high", d.Project(dst(32*4), []int{4}, 0, 32), ErrColumnRange},

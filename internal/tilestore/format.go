@@ -34,11 +34,18 @@ import (
 // chunkRows tall except a possibly shorter last one), so there is no
 // segment directory to keep consistent: the frame headers are pure
 // verification, not lookup structure.
+//
+// Format versions differ only in the segment payload checksum: version
+// 2 sums payloads with CRC32C (ooc.CRC32C, zero-extended into the
+// frame's 64-bit sum), version 1 with CRC64-ECMA. Headers keep CRC64 in
+// both. Datasets are always written at formatVersion; Open still reads
+// version 1, taking the sum function from the header's version field.
 
 const (
-	dataMagic     = "XTILEv1\n"
-	formatVersion = 1
-	hdrSize       = 64
+	dataMagic        = "XTILEv1\n" // the file type; the format version is a header field
+	formatVersion    = 2
+	minFormatVersion = 1
+	hdrSize          = 64
 
 	dataFileName = "data.tile"
 	metaFileName = "meta.json"
@@ -80,18 +87,19 @@ type geom struct {
 	chunkDisk int64 // on-disk bytes of a full chunk (frames included)
 	dataBytes int64 // total data.tile size
 	gen       uint64
+	version   uint32 // format version: picks the payload checksum
 }
 
 // newGeom validates s (clamping ChunkRows to Rows) and derives the
-// proven byte geometry.
-func newGeom(s Schema) (geom, error) {
+// proven byte geometry of a dataset of the given format version.
+func newGeom(s Schema, version uint32) (geom, error) {
 	if s.Rows <= 0 || s.Fields <= 0 || s.ElemSize <= 0 || s.ChunkRows <= 0 {
 		return geom{}, schemaErr("all dimensions must be positive", s)
 	}
 	if s.ChunkRows > s.Rows {
 		s.ChunkRows = s.Rows
 	}
-	g := geom{s: s}
+	g := geom{s: s, version: version}
 	var ok bool
 	if g.rowBytes, ok = mathutil.CheckedMul(s.Fields, s.ElemSize); !ok {
 		return geom{}, schemaErr("record byte size overflows int", s)
@@ -154,6 +162,15 @@ func (g *geom) chunkOff(c int) int64 {
 	return hdrSize + int64(c)*g.chunkDisk
 }
 
+// sum returns the segment payload checksum of p under the dataset's
+// format version.
+func (g *geom) sum(p []byte) uint64 {
+	if g.version == 1 {
+		return ooc.Checksum(p)
+	}
+	return ooc.CRC32C(p)
+}
+
 // segOff returns the data-file offset of the frame header of (chunk c,
 // column f).
 func (g *geom) segOff(c, f int) int64 {
@@ -164,7 +181,7 @@ func (g *geom) segOff(c, f int) int64 {
 func (g *geom) encodeHeader() [hdrSize]byte {
 	var h [hdrSize]byte
 	copy(h[0:8], dataMagic)
-	binary.LittleEndian.PutUint32(h[8:12], formatVersion)
+	binary.LittleEndian.PutUint32(h[8:12], g.version)
 	binary.LittleEndian.PutUint32(h[12:16], uint32(g.s.ElemSize))
 	binary.LittleEndian.PutUint64(h[16:24], uint64(g.s.Rows))
 	binary.LittleEndian.PutUint64(h[24:32], uint64(g.s.Fields))
@@ -182,7 +199,7 @@ func (g *geom) encodeHeader() [hdrSize]byte {
 func (g *geom) generation() uint64 {
 	var h [48]byte
 	copy(h[0:8], dataMagic)
-	binary.LittleEndian.PutUint32(h[8:12], formatVersion)
+	binary.LittleEndian.PutUint32(h[8:12], g.version)
 	binary.LittleEndian.PutUint32(h[12:16], uint32(g.s.ElemSize))
 	binary.LittleEndian.PutUint64(h[16:24], uint64(g.s.Rows))
 	binary.LittleEndian.PutUint64(h[24:32], uint64(g.s.Fields))
@@ -212,7 +229,8 @@ func decodeHeader(h []byte) (geom, error) {
 	if got := binary.LittleEndian.Uint64(h[56:64]); got != ooc.Checksum(h[0:56]) {
 		return geom{}, headerErr("header checksum mismatch")
 	}
-	if v := binary.LittleEndian.Uint32(h[8:12]); v != formatVersion {
+	version := binary.LittleEndian.Uint32(h[8:12])
+	if version < minFormatVersion || version > formatVersion {
 		return geom{}, headerErr("unsupported format version")
 	}
 	elem, ok := u64Dim(uint64(binary.LittleEndian.Uint32(h[12:16])))
@@ -231,7 +249,7 @@ func decodeHeader(h []byte) (geom, error) {
 	if !ok {
 		return geom{}, headerErr("chunk rows out of range")
 	}
-	g, err := newGeom(Schema{Rows: rows, Fields: fields, ElemSize: elem, ChunkRows: chunkRows})
+	g, err := newGeom(Schema{Rows: rows, Fields: fields, ElemSize: elem, ChunkRows: chunkRows}, version)
 	if err != nil {
 		return geom{}, err
 	}
@@ -298,10 +316,10 @@ func readMeta(dir string) (metaFile, geom, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return metaFile{}, geom{}, headerErr("meta is not valid JSON")
 	}
-	if m.Magic != "xtile" || m.Version != formatVersion {
+	if m.Magic != "xtile" || m.Version < minFormatVersion || m.Version > formatVersion {
 		return metaFile{}, geom{}, headerErr("meta magic or version mismatch")
 	}
-	g, err := newGeom(Schema{Rows: m.Rows, Fields: m.Fields, ElemSize: m.ElemSize, ChunkRows: m.ChunkRows})
+	g, err := newGeom(Schema{Rows: m.Rows, Fields: m.Fields, ElemSize: m.ElemSize, ChunkRows: m.ChunkRows}, uint32(m.Version))
 	if err != nil {
 		return metaFile{}, geom{}, err
 	}

@@ -13,14 +13,19 @@ import (
 // read back is checked against the trivial in-memory AoS oracle. The
 // fuzzer owns the schema-normalization corner cases (clamped chunk
 // rows, one-row datasets, odd element widths, budgets that force the
-// spill path) that table-driven tests enumerate only pointwise.
+// spill path) that table-driven tests enumerate only pointwise. With v1
+// set, the sealed dataset is rewritten as format version 1 (CRC64
+// payload sums) before it is reopened, so the read path of the older
+// format is held to the same oracle.
 func FuzzTilestore(f *testing.F) {
-	f.Add(7, 3, 2, 4, uint8(0), false)
-	f.Add(1, 1, 1, 1, uint8(1), false)
-	f.Add(50, 5, 4, 16, uint8(2), false)
-	f.Add(33, 2, 8, 50, uint8(3), true)
-	f.Add(24, 7, 3, 8, uint8(4), true)
-	f.Fuzz(func(t *testing.T, rows, fields, elem, chunkRows int, seed uint8, spill bool) {
+	f.Add(7, 3, 2, 4, uint8(0), false, false)
+	f.Add(1, 1, 1, 1, uint8(1), false, false)
+	f.Add(50, 5, 4, 16, uint8(2), false, false)
+	f.Add(33, 2, 8, 50, uint8(3), true, false)
+	f.Add(24, 7, 3, 8, uint8(4), true, false)
+	f.Add(50, 5, 4, 16, uint8(5), false, true)
+	f.Add(24, 7, 3, 8, uint8(6), true, true)
+	f.Fuzz(func(t *testing.T, rows, fields, elem, chunkRows int, seed uint8, spill, v1 bool) {
 		// Clamp to a tractable region; invalid shapes must be rejected
 		// cleanly by Create rather than skipped here.
 		if rows > 200 || fields > 24 || elem > 16 || chunkRows > 300 {
@@ -51,12 +56,20 @@ func FuzzTilestore(f *testing.F) {
 			t.Fatalf("Ingest: %v", err)
 		}
 		d.Close()
+		version := uint32(formatVersion)
+		if v1 {
+			rewriteAsV1(t, dir)
+			version = 1
+		}
 
 		rd, err := Open(dir, opts)
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
 		defer rd.Close()
+		if rd.g.version != version {
+			t.Fatalf("dataset opened as format version %d, want %d", rd.g.version, version)
+		}
 
 		got := make([]byte, len(aos))
 		if err := rd.ScanRows(got, 0, rows); err != nil {

@@ -86,7 +86,7 @@ func (d *Dataset) ingestResident(c, count, chunkBytes int, r io.Reader) error {
 	for f := 0; f < d.g.s.Fields; f++ {
 		payload := buf[f*colBytes : (f+1)*colBytes]
 		off := d.g.segOff(c, f)
-		ooc.PutFrame(hdr[:], d.segFrame(c, f, ooc.Checksum(payload)))
+		ooc.PutFrame(hdr[:], d.segFrame(c, f, ooc.CRC32C(payload)))
 		if err := d.writeAt(hdr[:], off); err != nil {
 			return err
 		}
@@ -147,7 +147,7 @@ func (d *Dataset) ingestSpilled(c, count, chunkBytes int, r io.Reader) (err erro
 			if _, err := sf.ReadAt(copyBuf[:n], srcOff+int64(done)); err != nil {
 				return fmt.Errorf("tilestore: reading spilled chunk %d: %w", c, err)
 			}
-			sum = ooc.ChecksumUpdate(sum, copyBuf[:n])
+			sum = ooc.CRC32CUpdate(sum, copyBuf[:n])
 			if err := d.writeAt(copyBuf[:n], dstOff+int64(done)); err != nil {
 				return err
 			}

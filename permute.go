@@ -45,11 +45,13 @@ type PermutePlan struct {
 }
 
 // permStep is one batched pass: transpose `slabs` back-to-back slabs of
-// `stride` elements each, with the shared 2D plan.
+// `stride` elements each, with the shared 2D plan. bounds partitions the
+// slabs across the plan's workers (multi-slab passes only).
 type permStep struct {
 	slabs  int
 	stride int
 	plan   *Plan
+	bounds []int
 }
 
 // permStrategyNoop names the empty plan of an identity permutation.
@@ -190,6 +192,9 @@ func buildSteps(steps []tensor.Step, o Options, elemSize int) ([]permStep, error
 			return nil, err
 		}
 		built[i] = permStep{slabs: st.Slabs, stride: st.Rows * st.Cols, plan: p2}
+		if st.Slabs > 1 {
+			built[i].bounds = parallel.Bounds(st.Slabs, o.Workers, 1)
+		}
 	}
 	return built, nil
 }
@@ -333,6 +338,29 @@ func cycleApply[T any](c *cyclePlan, data []T) {
 type PermutePlanner[T any] struct {
 	pp  *PermutePlan
 	pls []*Planner[T]
+	// runs recycles the *slabRun[T] of multi-slab passes, so a warm
+	// Execute dispatches a prebuilt body instead of a fresh closure.
+	runs sync.Pool
+}
+
+// slabRun is one multi-slab pass in flight: the planner and buffer it
+// works on, and its chunk body, bound once when the run is built.
+type slabRun[T any] struct {
+	p      *Planner[T]
+	data   []T
+	stride int
+	body   func(worker, lo, hi int)
+}
+
+// run transposes slabs [lo, hi) of the pass.
+func (r *slabRun[T]) run(_, lo, hi int) {
+	for k := lo; k < hi; k++ {
+		// Execute only fails on a length mismatch, which the plan's
+		// slab geometry excludes.
+		if err := r.p.Execute(r.data[k*r.stride : (k+1)*r.stride]); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // NewPermutePlanner validates dims and perm and precomputes an execution
@@ -395,25 +423,23 @@ func (pl *PermutePlanner[T]) Execute(data []T) error {
 
 // executeSlabs runs one multi-slab pass, parallelizing over slabs on the
 // shared pool (each slab's engine is single-worker, so dispatches never
-// nest). Split out of Execute to keep the hot path closure-free.
+// nest). The pass's slab partition is planned and its run recycled, so a
+// warm call allocates nothing.
 func (pl *PermutePlanner[T]) executeSlabs(i int, data []T) {
-	st := pl.pp.steps[i]
-	p := pl.pls[i]
-	stride := st.stride
-	run := func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			// Execute only fails on a length mismatch, which the plan's
-			// slab geometry excludes.
-			if err := p.Execute(data[k*stride : (k+1)*stride]); err != nil {
-				panic(err)
-			}
-		}
+	st := &pl.pp.steps[i]
+	r, _ := pl.runs.Get().(*slabRun[T])
+	if r == nil {
+		r = &slabRun[T]{}
+		r.body = r.run
 	}
-	if parallel.Workers(pl.pp.workers) > 1 {
-		parallel.Shared().For(st.slabs, pl.pp.workers, run)
+	r.p, r.data, r.stride = pl.pls[i], data, st.stride
+	if len(st.bounds) > 2 {
+		parallel.Shared().ForBounds(st.bounds, r.body)
 	} else {
-		parallel.For(st.slabs, pl.pp.workers, run)
+		r.run(0, 0, st.slabs)
 	}
+	r.data = nil
+	pl.runs.Put(r)
 }
 
 // Plan returns the underlying permutation plan.
