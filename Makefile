@@ -121,11 +121,12 @@ bench-baseline:
 	$(GO) run ./cmd/benchorch run -preset quick -seed 2014 -run '$(BENCH_GATE_RUN)' -q -json results/bench-baseline.json
 
 # tune-smoke exercises the whole autotuner pipeline end to end on tiny
-# shapes with capped measurement budgets: batch-tune, write a wisdom
-# file, and read it back. Seconds, not minutes — cheap enough for ci.
+# shapes with capped measurement budgets: batch-tune 2D shapes and one
+# axis permutation, write a wisdom file with both sections, and list it
+# back. Seconds, not minutes — cheap enough for ci.
 tune-smoke:
 	mkdir -p results
-	$(GO) run ./cmd/xposetune -shapes 64x48,512x6,32x96 -elem 8 -workers 1 -fast -o results/wisdom-smoke.json
+	$(GO) run ./cmd/xposetune -shapes 64x48,512x6,32x96 -perms 2x8x8x4:0,3,1,2 -elem 8 -workers 1 -fast -o results/wisdom-smoke.json
 	$(GO) run ./cmd/xposetune -list results/wisdom-smoke.json
 
 # ooc-smoke round-trips the out-of-core engine on a real temp file,

@@ -20,11 +20,16 @@
 // -merge folds the new measurements over an existing wisdom file
 // instead of replacing it; unknown-version files merge as empty. -fast
 // caps measurement for smoke runs (noisy decisions, full code path).
+// The closing "wrote N decisions" counts every section of the file
+// written, entries carried over by -merge included. -list prints one
+// line per decision of every section: 2D, out-of-core, permutation and
+// tile store.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -46,7 +51,9 @@ func main() {
 	flag.Parse()
 
 	if *list != "" {
-		listWisdom(*list)
+		if err := listWisdom(os.Stdout, *list); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	if *shapes == "" && *perms == "" {
@@ -91,7 +98,11 @@ func main() {
 	if err := inplace.SaveWisdom(*out); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %d decisions to %s\n", inplace.WisdomLen()+inplace.PermWisdomLen(), *out)
+	written, err := loadWisdom(*out)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("wrote %d decisions to %s\n", written.Entries(), *out)
 }
 
 // parsePermSpec parses one "dims:perm" entry, e.g. "2x8x8x4:0,3,1,2".
@@ -132,32 +143,37 @@ func parseShape(spec string) (rows, cols int, err error) {
 	return rows, cols, nil
 }
 
-func listWisdom(path string) {
+func loadWisdom(path string) (*tune.Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	defer f.Close()
-	t, err := tune.Load(f)
+	return tune.Load(f)
+}
+
+// listWisdom prints every entry of the wisdom file at path, one line
+// each, section by section in file order.
+func listWisdom(w io.Writer, path string) error {
+	t, err := loadWisdom(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if t.Len() == 0 && t.PermLen() == 0 {
-		fmt.Printf("%s: no usable entries (empty or unknown version)\n", path)
-		return
+	if t.Entries() == 0 {
+		fmt.Fprintf(w, "%s: no usable entries (empty or unknown version)\n", path)
+		return nil
 	}
-	for _, k := range t.Keys() {
-		d, _ := t.Lookup(k)
-		dir := "R2C"
-		if d.C2R {
-			dir = "C2R"
-		}
-		fmt.Printf("%-24s %s %s workers=%d blockw=%d %.2f GB/s\n",
-			k, d.Variant, dir, d.Workers, d.BlockW, d.GBps)
-	}
-	for _, k := range t.PermKeys() {
-		d, _ := t.LookupPerm(k)
-		fmt.Printf("%-24s %s workers=%d %.2f GB/s\n", k, d.Strategy, d.Workers, d.GBps)
+	listSection(w, &t.Transpose)
+	listSection(w, &t.OOC)
+	listSection(w, &t.Perm)
+	listSection(w, &t.TileStore)
+	return nil
+}
+
+func listSection[K tune.SectionKey[K], D tune.SectionDecision](w io.Writer, s *tune.Section[K, D]) {
+	for _, k := range s.Keys() {
+		d, _ := s.Lookup(k)
+		fmt.Fprintf(w, "%-24v %+v\n", k, d)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"inplace/internal/core"
 	"inplace/internal/cr"
 	"inplace/internal/mathutil"
+	"inplace/internal/parallel"
+	"inplace/internal/tune"
 )
 
 // Method selects the engine used to realize the transposition. All
@@ -249,11 +251,14 @@ func newPlanElem(rows, cols int, o Options, elemSize int) (*Plan, error) {
 		rows, cols = cols, rows
 		o.Order = RowMajor
 	}
-	if elemSize > 0 && o.Tuning != WisdomOff {
-		if d, ok := lookupWisdom(rows, cols, elemSize, o.Workers); ok {
+	if elemSize > 0 {
+		k := tune.Key{Rows: rows, Cols: cols, ElemSize: elemSize, MaxWorkers: parallel.Workers(o.Workers)}
+		d, ok, err := consultWisdom(o.Tuning, &wisdomTab.t.Transpose, k)
+		if err != nil {
+			return nil, fmt.Errorf("%w (%dx%d, %d-byte elements)", err, rows, cols, elemSize)
+		}
+		if ok {
 			o = applyWisdom(o, d)
-		} else if o.Tuning == WisdomRequired {
-			return nil, fmt.Errorf("%w (%dx%d, %d-byte elements)", ErrNoWisdom, rows, cols, elemSize)
 		}
 	}
 	p := &Plan{rows: rows, cols: cols, size: size}

@@ -319,36 +319,42 @@ func (d *Dataset) writeAt(p []byte, off int64) error {
 }
 
 // block returns the verified payload of (chunk, col), from cache when
-// resident, loading and validating it from the backend otherwise. The
-// frame's identity fields and payload length are checked against the
-// schema-derived expectation before any byte is trusted, and the
-// payload checksum closes the loop.
+// resident, loading and validating it from the backend otherwise.
 func (d *Dataset) block(chunk, col int) ([]byte, error) {
 	key := blockKey{chunk: chunk, col: col}
 	if buf, ok := d.cache.get(key); ok {
 		return buf, nil
 	}
-	payload := d.g.segPayload(chunk)
-	off := d.g.segOff(chunk, col)
-	var hdr [ooc.FrameHeaderSize]byte
-	if err := d.readAt(hdr[:], off); err != nil {
+	// The cached payload keeps the frame header it was read with in
+	// front of it: 48 bytes a block, outside the cache's byte count.
+	buf, err := d.readSegment(make([]byte, ooc.FrameHeaderSize+d.g.segPayload(chunk)), chunk, col)
+	if err != nil {
 		return nil, err
 	}
-	fr, ok := ooc.ParseFrame(hdr[:])
+	return d.cache.put(key, buf), nil
+}
+
+// readSegment reads the frame header and payload of (chunk, col) into
+// seg, which holds exactly both, with one metered read, and returns the
+// payload once it is trusted: the frame's identity fields and payload
+// length are checked against the schema-derived expectation, and the
+// payload checksum closes the loop.
+func (d *Dataset) readSegment(seg []byte, chunk, col int) ([]byte, error) {
+	if err := d.readAt(seg, d.g.segOff(chunk, col)); err != nil {
+		return nil, err
+	}
+	fr, ok := ooc.ParseFrame(seg[:ooc.FrameHeaderSize])
 	if !ok {
 		return nil, corruptErr(chunk, col, "frame header checksum mismatch")
 	}
-	if err := d.checkFrame(fr, chunk, col, payload); err != nil {
+	payload := seg[ooc.FrameHeaderSize:]
+	if err := d.checkFrame(fr, chunk, col, len(payload)); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, payload)
-	if err := d.readAt(buf, off+ooc.FrameHeaderSize); err != nil {
-		return nil, err
-	}
-	if sum := d.g.sum(buf); sum != fr.PayloadSum {
+	if sum := d.g.sum(payload); sum != fr.PayloadSum {
 		return nil, corruptSumErr(chunk, col, fr.PayloadSum, sum)
 	}
-	return d.cache.put(key, buf), nil
+	return payload, nil
 }
 
 // checkFrame validates a decoded segment frame against its expected
@@ -372,8 +378,8 @@ func (d *Dataset) checkFrame(fr ooc.Frame, chunk, col, payload int) error {
 // Verify re-reads every segment of the dataset and checks its frame
 // and payload checksum, without populating the cache: the integrity
 // scan behind xposestore verify and the selftest's kill/recover check.
-// Each segment (frame header and payload) is one metered read into one
-// buffer reused across segments.
+// Each segment is one readSegment into one buffer reused across
+// segments.
 func (d *Dataset) Verify() error {
 	if fi, err := d.f.Stat(); err != nil {
 		return err
@@ -383,21 +389,10 @@ func (d *Dataset) Verify() error {
 	}
 	buf := make([]byte, ooc.FrameHeaderSize+d.g.segBytes)
 	for c := 0; c < d.g.chunks; c++ {
-		payload := d.g.segPayload(c)
-		seg := buf[:ooc.FrameHeaderSize+payload]
+		seg := buf[:ooc.FrameHeaderSize+d.g.segPayload(c)]
 		for col := 0; col < d.g.s.Fields; col++ {
-			if err := d.readAt(seg, d.g.segOff(c, col)); err != nil {
+			if _, err := d.readSegment(seg, c, col); err != nil {
 				return err
-			}
-			fr, ok := ooc.ParseFrame(seg[:ooc.FrameHeaderSize])
-			if !ok {
-				return corruptErr(c, col, "frame header checksum mismatch")
-			}
-			if err := d.checkFrame(fr, c, col, payload); err != nil {
-				return err
-			}
-			if sum := d.g.sum(seg[ooc.FrameHeaderSize:]); sum != fr.PayloadSum {
-				return corruptSumErr(c, col, fr.PayloadSum, sum)
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 package tune
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 )
 
 // Out-of-core wisdom: measured decisions for the ooc engine's transform
@@ -48,6 +48,11 @@ func (k OOCKey) validate() error {
 	return nil
 }
 
+func (k OOCKey) compare(o OOCKey) int {
+	return cmp.Or(cmp.Compare(k.Rows, o.Rows), cmp.Compare(k.Cols, o.Cols),
+		cmp.Compare(k.ElemSize, o.ElemSize), cmp.Compare(k.BudgetLog2, o.BudgetLog2))
+}
+
 // OOCDecision is a measured-optimal out-of-core schedule for one OOCKey.
 type OOCDecision struct {
 	// SegmentBytes is the winner's panel size, kept for provenance and
@@ -67,38 +72,4 @@ func (d OOCDecision) validate() error {
 		return &FormatError{Reason: fmt.Sprintf("invalid ooc decision %+v", d)}
 	}
 	return nil
-}
-
-// LookupOOC returns the out-of-core decision recorded for k, if any.
-func (t *Table) LookupOOC(k OOCKey) (OOCDecision, bool) {
-	d, ok := t.ooc[k]
-	return d, ok
-}
-
-// StoreOOC records d as the out-of-core decision for k.
-func (t *Table) StoreOOC(k OOCKey, d OOCDecision) { t.ooc[k] = d }
-
-// OOCLen returns the number of recorded out-of-core decisions.
-func (t *Table) OOCLen() int { return len(t.ooc) }
-
-// OOCKeys returns the out-of-core keys in deterministic (sorted) order.
-func (t *Table) OOCKeys() []OOCKey {
-	ks := make([]OOCKey, 0, len(t.ooc))
-	for k := range t.ooc {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		a, b := ks[i], ks[j]
-		if a.Rows != b.Rows {
-			return a.Rows < b.Rows
-		}
-		if a.Cols != b.Cols {
-			return a.Cols < b.Cols
-		}
-		if a.ElemSize != b.ElemSize {
-			return a.ElemSize < b.ElemSize
-		}
-		return a.BudgetLog2 < b.BudgetLog2
-	})
-	return ks
 }

@@ -1,8 +1,8 @@
 package tune
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 
 	"inplace/internal/tensor"
 )
@@ -44,6 +44,11 @@ func (k PermKey) validate() error {
 	return nil
 }
 
+func (k PermKey) compare(o PermKey) int {
+	return cmp.Or(cmp.Compare(k.Dims, o.Dims), cmp.Compare(k.Perm, o.Perm),
+		cmp.Compare(k.ElemSize, o.ElemSize), cmp.Compare(k.MaxWorkers, o.MaxWorkers))
+}
+
 // PermDecision is a measured-optimal strategy for one PermKey: which
 // factorization (or the cycle fallback) to run and with how many
 // workers. GBps records the winning measurement for provenance.
@@ -61,38 +66,4 @@ func (d PermDecision) validate() error {
 		return &FormatError{Reason: fmt.Sprintf("invalid perm decision %+v", d)}
 	}
 	return nil
-}
-
-// LookupPerm returns the permutation decision recorded for k, if any.
-func (t *Table) LookupPerm(k PermKey) (PermDecision, bool) {
-	d, ok := t.perm[k]
-	return d, ok
-}
-
-// StorePerm records d as the permutation decision for k.
-func (t *Table) StorePerm(k PermKey, d PermDecision) { t.perm[k] = d }
-
-// PermLen returns the number of recorded permutation decisions.
-func (t *Table) PermLen() int { return len(t.perm) }
-
-// PermKeys returns the permutation keys in deterministic (sorted) order.
-func (t *Table) PermKeys() []PermKey {
-	ks := make([]PermKey, 0, len(t.perm))
-	for k := range t.perm {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		a, b := ks[i], ks[j]
-		if a.Dims != b.Dims {
-			return a.Dims < b.Dims
-		}
-		if a.Perm != b.Perm {
-			return a.Perm < b.Perm
-		}
-		if a.ElemSize != b.ElemSize {
-			return a.ElemSize < b.ElemSize
-		}
-		return a.MaxWorkers < b.MaxWorkers
-	})
-	return ks
 }

@@ -1,8 +1,8 @@
 package tune
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 )
 
 // Tile-store wisdom: measured decisions for the columnar store's ingest
@@ -33,6 +33,11 @@ func (k StoreKey) validate() error {
 	return nil
 }
 
+func (k StoreKey) compare(o StoreKey) int {
+	return cmp.Or(cmp.Compare(k.Fields, o.Fields), cmp.Compare(k.ElemSize, o.ElemSize),
+		cmp.Compare(k.RowsLog2, o.RowsLog2))
+}
+
 // StoreDecision is a measured-optimal ingest configuration for one
 // StoreKey.
 type StoreDecision struct {
@@ -46,35 +51,4 @@ func (d StoreDecision) validate() error {
 		return &FormatError{Reason: fmt.Sprintf("invalid store decision %+v", d)}
 	}
 	return nil
-}
-
-// LookupStore returns the tile-store decision recorded for k, if any.
-func (t *Table) LookupStore(k StoreKey) (StoreDecision, bool) {
-	d, ok := t.store[k]
-	return d, ok
-}
-
-// StoreStore records d as the tile-store decision for k.
-func (t *Table) StoreStore(k StoreKey, d StoreDecision) { t.store[k] = d }
-
-// StoreLen returns the number of recorded tile-store decisions.
-func (t *Table) StoreLen() int { return len(t.store) }
-
-// StoreKeys returns the tile-store keys in deterministic (sorted) order.
-func (t *Table) StoreKeys() []StoreKey {
-	ks := make([]StoreKey, 0, len(t.store))
-	for k := range t.store {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		a, b := ks[i], ks[j]
-		if a.Fields != b.Fields {
-			return a.Fields < b.Fields
-		}
-		if a.ElemSize != b.ElemSize {
-			return a.ElemSize < b.ElemSize
-		}
-		return a.RowsLog2 < b.RowsLog2
-	})
-	return ks
 }

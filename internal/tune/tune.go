@@ -8,6 +8,13 @@
 // Planner consults before falling back to the paper's static
 // heuristics.
 //
+// The table has one section per planner: 2D transposes, out-of-core
+// runs, axis permutations and tile-store ingest. Each is a Section
+// (section.go), one generic keyed map that looks up, stores, merges,
+// compares, validates on load and encodes in sorted key order; a key
+// type supplies only validate and compare, a decision type only
+// validate. Table's whole-table operations loop over the four sections.
+//
 // The search is staged rather than exhaustive, the FFTW-wisdom pattern
 // scaled to this candidate space: stage 1 races every (direction,
 // pipeline) pair at the full worker budget, stage 2 sweeps the worker

@@ -2,11 +2,11 @@ package tune
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"inplace/internal/core"
 )
@@ -62,6 +62,11 @@ func (k Key) validate() error {
 	return nil
 }
 
+func (k Key) compare(o Key) int {
+	return cmp.Or(cmp.Compare(k.Rows, o.Rows), cmp.Compare(k.Cols, o.Cols),
+		cmp.Compare(k.ElemSize, o.ElemSize), cmp.Compare(k.MaxWorkers, o.MaxWorkers))
+}
+
 // Decision is a measured-optimal execution strategy for one Key: which
 // pass structure to run, in which direction, with how many workers and
 // what panel width. Any positive width is correct, so files recorded
@@ -90,76 +95,52 @@ func (d Decision) validate() error {
 }
 
 // Table is a wisdom table: the accumulated measured decisions of an
-// autotuning run (or several, merged). The zero value is not usable;
-// call NewTable. A Table is not safe for concurrent mutation; callers
-// that share one across goroutines (the package-level wisdom store in
-// the public API) serialize access themselves.
+// autotuning run (or several, merged), one Section per planner. The
+// zero value is an empty table. A Table is not safe for concurrent
+// mutation; callers that share one across goroutines (the process
+// wisdom table of the public API) serialize access themselves.
 type Table struct {
-	m     map[Key]Decision
-	ooc   map[OOCKey]OOCDecision
-	perm  map[PermKey]PermDecision
-	store map[StoreKey]StoreDecision
+	Transpose Section[Key, Decision]           // in-memory 2D transposes, file key "entries"
+	OOC       Section[OOCKey, OOCDecision]     // out-of-core runs, "ooc"
+	Perm      Section[PermKey, PermDecision]   // axis permutations, "perm"
+	TileStore Section[StoreKey, StoreDecision] // tile-store ingest, "store"
 }
 
 // NewTable returns an empty wisdom table.
-func NewTable() *Table {
-	return &Table{
-		m:     make(map[Key]Decision),
-		ooc:   make(map[OOCKey]OOCDecision),
-		perm:  make(map[PermKey]PermDecision),
-		store: make(map[StoreKey]StoreDecision),
-	}
+func NewTable() *Table { return &Table{} }
+
+// sections lists t's sections in file order (wisdomFile.sections).
+func (t *Table) sections() [4]section {
+	return [4]section{&t.Transpose, &t.OOC, &t.Perm, &t.TileStore}
 }
 
-// Lookup returns the decision recorded for k, if any.
-func (t *Table) Lookup(k Key) (Decision, bool) {
-	d, ok := t.m[k]
-	return d, ok
-}
+// Lookup, Store and Len reach the 2D section; StoreOOC, StorePerm,
+// LookupPerm, PermLen and StoreStore the others.
+func (t *Table) Lookup(k Key) (Decision, bool)             { return t.Transpose.Lookup(k) }
+func (t *Table) Store(k Key, d Decision)                   { t.Transpose.Store(k, d) }
+func (t *Table) Len() int                                  { return t.Transpose.Len() }
+func (t *Table) StoreOOC(k OOCKey, d OOCDecision)          { t.OOC.Store(k, d) }
+func (t *Table) StorePerm(k PermKey, d PermDecision)       { t.Perm.Store(k, d) }
+func (t *Table) LookupPerm(k PermKey) (PermDecision, bool) { return t.Perm.Lookup(k) }
+func (t *Table) PermLen() int                              { return t.Perm.Len() }
+func (t *Table) StoreStore(k StoreKey, d StoreDecision)    { t.TileStore.Store(k, d) }
 
-// Store records d as the decision for k, replacing any earlier entry.
-func (t *Table) Store(k Key, d Decision) { t.m[k] = d }
-
-// Len returns the number of recorded decisions.
-func (t *Table) Len() int { return len(t.m) }
-
-// Keys returns the table's keys in deterministic (sorted) order.
-func (t *Table) Keys() []Key {
-	ks := make([]Key, 0, len(t.m))
-	for k := range t.m {
-		ks = append(ks, k)
+// Entries returns the number of decisions in every section together.
+func (t *Table) Entries() int {
+	n := 0
+	for _, s := range t.sections() {
+		n += s.Len()
 	}
-	sort.Slice(ks, func(i, j int) bool {
-		a, b := ks[i], ks[j]
-		if a.Rows != b.Rows {
-			return a.Rows < b.Rows
-		}
-		if a.Cols != b.Cols {
-			return a.Cols < b.Cols
-		}
-		if a.ElemSize != b.ElemSize {
-			return a.ElemSize < b.ElemSize
-		}
-		return a.MaxWorkers < b.MaxWorkers
-	})
-	return ks
+	return n
 }
 
 // Merge copies every entry of other into t, overwriting collisions:
 // the incoming table is assumed fresher (cmd/xposetune merges new
 // measurements over an existing file this way).
 func (t *Table) Merge(other *Table) {
-	for k, d := range other.m {
-		t.m[k] = d
-	}
-	for k, d := range other.ooc {
-		t.ooc[k] = d
-	}
-	for k, d := range other.perm {
-		t.perm[k] = d
-	}
-	for k, d := range other.store {
-		t.store[k] = d
+	from := other.sections()
+	for i, s := range t.sections() {
+		s.merge(from[i])
 	}
 }
 
@@ -172,60 +153,31 @@ func (t *Table) Clone() *Table {
 
 // Equal reports whether two tables hold identical entries.
 func (t *Table) Equal(other *Table) bool {
-	if len(t.m) != len(other.m) || len(t.ooc) != len(other.ooc) ||
-		len(t.perm) != len(other.perm) || len(t.store) != len(other.store) {
-		return false
-	}
-	for k, d := range t.m {
-		if od, ok := other.m[k]; !ok || od != d {
-			return false
-		}
-	}
-	for k, d := range t.ooc {
-		if od, ok := other.ooc[k]; !ok || od != d {
-			return false
-		}
-	}
-	for k, d := range t.perm {
-		if od, ok := other.perm[k]; !ok || od != d {
-			return false
-		}
-	}
-	for k, d := range t.store {
-		if od, ok := other.store[k]; !ok || od != d {
+	to := other.sections()
+	for i, s := range t.sections() {
+		if !s.equal(to[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// wisdomFile is the on-disk envelope.
+// wisdomFile is the on-disk envelope: the version and one array of
+// entries per section. Each entry is one object holding the key's
+// fields followed by the decision's. The 2D section is always written
+// (null when empty, as files have always had it); the others only when
+// they hold entries.
 type wisdomFile struct {
-	Version int              `json:"version"`
-	Entries []wisdomEntry    `json:"entries"`
-	OOC     []oocFileEntry   `json:"ooc,omitempty"`
-	Perm    []permFileEntry  `json:"perm,omitempty"`
-	Store   []storeFileEntry `json:"store,omitempty"`
+	Version int             `json:"version"`
+	Entries json.RawMessage `json:"entries"`
+	OOC     json.RawMessage `json:"ooc,omitempty"`
+	Perm    json.RawMessage `json:"perm,omitempty"`
+	Store   json.RawMessage `json:"store,omitempty"`
 }
 
-type wisdomEntry struct {
-	Key
-	Decision
-}
-
-type oocFileEntry struct {
-	OOCKey
-	OOCDecision
-}
-
-type permFileEntry struct {
-	PermKey
-	PermDecision
-}
-
-type storeFileEntry struct {
-	StoreKey
-	StoreDecision
+// sections lists f's section members in the order of Table.sections.
+func (f *wisdomFile) sections() [4]*json.RawMessage {
+	return [4]*json.RawMessage{&f.Entries, &f.OOC, &f.Perm, &f.Store}
 }
 
 // Save writes the table to w as versioned JSON with entries in
@@ -233,17 +185,12 @@ type storeFileEntry struct {
 // (the round-trip property the fuzz harness asserts).
 func (t *Table) Save(w io.Writer) error {
 	f := wisdomFile{Version: WisdomVersion}
-	for _, k := range t.Keys() {
-		f.Entries = append(f.Entries, wisdomEntry{Key: k, Decision: t.m[k]})
-	}
-	for _, k := range t.OOCKeys() {
-		f.OOC = append(f.OOC, oocFileEntry{OOCKey: k, OOCDecision: t.ooc[k]})
-	}
-	for _, k := range t.PermKeys() {
-		f.Perm = append(f.Perm, permFileEntry{PermKey: k, PermDecision: t.perm[k]})
-	}
-	for _, k := range t.StoreKeys() {
-		f.Store = append(f.Store, storeFileEntry{StoreKey: k, StoreDecision: t.store[k]})
+	raws := f.sections()
+	for i, s := range t.sections() {
+		var err error
+		if *raws[i], err = s.encode(); err != nil {
+			return err
+		}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -285,41 +232,11 @@ func Load(r io.Reader) (*Table, error) {
 		return nil, &FormatError{Reason: "decoding", Err: err}
 	}
 	t := NewTable()
-	for _, e := range f.Entries {
-		if err := e.Key.validate(); err != nil {
+	raws := f.sections()
+	for i, s := range t.sections() {
+		if err := s.decode(*raws[i]); err != nil {
 			return nil, err
 		}
-		if err := e.Decision.validate(); err != nil {
-			return nil, err
-		}
-		t.Store(e.Key, e.Decision)
-	}
-	for _, e := range f.OOC {
-		if err := e.OOCKey.validate(); err != nil {
-			return nil, err
-		}
-		if err := e.OOCDecision.validate(); err != nil {
-			return nil, err
-		}
-		t.StoreOOC(e.OOCKey, e.OOCDecision)
-	}
-	for _, e := range f.Perm {
-		if err := e.PermKey.validate(); err != nil {
-			return nil, err
-		}
-		if err := e.PermDecision.validate(); err != nil {
-			return nil, err
-		}
-		t.StorePerm(e.PermKey, e.PermDecision)
-	}
-	for _, e := range f.Store {
-		if err := e.StoreKey.validate(); err != nil {
-			return nil, err
-		}
-		if err := e.StoreDecision.validate(); err != nil {
-			return nil, err
-		}
-		t.StoreStore(e.StoreKey, e.StoreDecision)
 	}
 	return t, nil
 }

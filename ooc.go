@@ -126,14 +126,13 @@ func oocConfig(rows, cols, elemSize int, o OOCOptions) (ooc.Config, error) {
 	if o.Budget <= 0 {
 		o.Budget = DefaultOOCBudget
 	}
-	if o.Tuning != WisdomOff {
-		if d, ok := lookupOOCWisdom(rows, cols, elemSize, o.Budget); ok {
-			if o.Workers == 0 {
-				o.Workers = d.Workers
-			}
-		} else if o.Tuning == WisdomRequired {
-			return ooc.Config{}, fmt.Errorf("%w (%dx%d, %d-byte elements, out-of-core)", ErrNoWisdom, rows, cols, elemSize)
-		}
+	k := tune.OOCKey{Rows: rows, Cols: cols, ElemSize: elemSize, BudgetLog2: tune.BudgetLog2(o.Budget)}
+	d, ok, err := consultWisdom(o.Tuning, &wisdomTab.t.OOC, k)
+	if err != nil {
+		return ooc.Config{}, fmt.Errorf("%w (%dx%d, %d-byte elements, out-of-core)", err, rows, cols, elemSize)
+	}
+	if ok && o.Workers == 0 {
+		o.Workers = d.Workers
 	}
 	dir := ooc.DirAuto
 	switch o.Direction {
@@ -221,21 +220,6 @@ func OOCMinBudget(rows, cols, elemSize int) (int64, error) {
 		return 0, overflowErr(rows, cols)
 	}
 	return floor, nil
-}
-
-// lookupOOCWisdom returns the recorded out-of-core decision for a shape
-// and budget class.
-func lookupOOCWisdom(rows, cols, elemSize int, budget int64) (tune.OOCDecision, bool) {
-	k := tune.OOCKey{Rows: rows, Cols: cols, ElemSize: elemSize, BudgetLog2: tune.BudgetLog2(budget)}
-	wisdomTab.mu.RLock()
-	defer wisdomTab.mu.RUnlock()
-	return wisdomTab.t.LookupOOC(k)
-}
-
-func storeOOCWisdom(k tune.OOCKey, d tune.OOCDecision) {
-	wisdomTab.mu.Lock()
-	wisdomTab.t.StoreOOC(k, d)
-	wisdomTab.mu.Unlock()
 }
 
 // OOCTuneResult reports the winning out-of-core schedule of a TuneOOC
@@ -348,7 +332,7 @@ func TuneOOC(rows, cols, elemSize int, budget int64, cfgs ...TuneConfig) (OOCTun
 	k := tune.OOCKey{Rows: rows, Cols: cols, ElemSize: elemSize, BudgetLog2: tune.BudgetLog2(budget)}
 	// Depth 1 keeps the decision readable by wisdom readers that still
 	// require the retired pipeline-depth field; this version ignores it.
-	storeOOCWisdom(k, tune.OOCDecision{
+	recordWisdom(&wisdomTab.t.OOC, k, tune.OOCDecision{
 		SegmentBytes: best.SegmentBytes, Depth: 1, Workers: best.Workers, GBps: best.GBps,
 	})
 	return best, nil

@@ -17,23 +17,6 @@ import (
 // wisdom table's perm section, keyed by the canonical (dims, perm) form
 // so every raw shape that reduces to the same passes shares the entry.
 
-// lookupPermWisdom returns the recorded permutation decision for the
-// canonical (dims, perm) strings with the given element size under the
-// worker budget that workersOpt resolves to.
-func lookupPermWisdom(dims, perm string, elemSize, workersOpt int) (tune.PermDecision, bool) {
-	k := tune.PermKey{Dims: dims, Perm: perm, ElemSize: elemSize, MaxWorkers: parallel.Workers(workersOpt)}
-	wisdomTab.mu.RLock()
-	defer wisdomTab.mu.RUnlock()
-	return wisdomTab.t.LookupPerm(k)
-}
-
-func storePermWisdom(k tune.PermKey, d tune.PermDecision) {
-	wisdomTab.mu.Lock()
-	wisdomTab.t.StorePerm(k, d)
-	wisdomTab.mu.Unlock()
-	flushPlannerCache()
-}
-
 // PermuteTuneResult reports the winning decision of one TunePermute
 // call. Dims and Perm are the canonical forms the decision is keyed
 // under, which may have lower rank than the tuned shape.
@@ -146,7 +129,7 @@ func TunePermute[T any](dims, perm []int, cfgs ...TuneConfig) (PermuteTuneResult
 	best.GBps = 2 * float64(probe.size) * float64(elemSize) / bestCost
 
 	k := tune.PermKey{Dims: probe.canonDims, Perm: probe.canonPerm, ElemSize: elemSize, MaxWorkers: budget}
-	storePermWisdom(k, best)
+	recordWisdom(&wisdomTab.t.Perm, k, best)
 	return PermuteTuneResult{
 		Dims: k.Dims, Perm: k.Perm, ElemSize: elemSize, MaxWorkers: budget,
 		Strategy: best.Strategy, Workers: best.Workers, GBps: best.GBps,
@@ -176,5 +159,5 @@ func TunePermuteElem(dims, perm []int, elemSize int, cfgs ...TuneConfig) (Permut
 func PermWisdomLen() int {
 	wisdomTab.mu.RLock()
 	defer wisdomTab.mu.RUnlock()
-	return wisdomTab.t.PermLen()
+	return wisdomTab.t.Perm.Len()
 }

@@ -10,6 +10,7 @@ import (
 	"inplace/internal/parallel"
 	"inplace/internal/stats"
 	"inplace/internal/tensor"
+	"inplace/internal/tune"
 )
 
 // Rank-generic axis permutation: PermuteAxes reorders the axes of a
@@ -57,8 +58,8 @@ type permStep struct {
 // permStrategyNoop names the empty plan of an identity permutation.
 const permStrategyNoop = "noop"
 
-// permShapeErr, permErr and permWisdomErr build the validation errors
-// out of line, mirroring shapeErr/lengthErr.
+// permShapeErr and permErr build the validation errors out of line,
+// mirroring shapeErr/lengthErr.
 func permShapeErr(dims []int, cause error) error {
 	if errors.Is(cause, tensor.ErrOverflow) {
 		return fmt.Errorf("%w (dims %v)", ErrOverflow, dims)
@@ -68,10 +69,6 @@ func permShapeErr(dims []int, cause error) error {
 
 func permErr(perm, dims []int) error {
 	return fmt.Errorf("%w (perm %v for rank %d)", ErrPerm, perm, len(dims))
-}
-
-func permWisdomErr(dims, perm string, elemSize int) error {
-	return fmt.Errorf("%w (%s perm %s, %d-byte elements)", ErrNoWisdom, dims, perm, elemSize)
 }
 
 // planPermute validates, canonicalizes and factors one permutation
@@ -103,14 +100,17 @@ func planPermute(dims, perm []int, o Options, elemSize int, forced string) (*Per
 	}
 
 	strategy := forced
-	if strategy == "" && elemSize > 0 && o.Tuning != WisdomOff {
-		if d, ok := lookupPermWisdom(pp.canonDims, pp.canonPerm, elemSize, o.Workers); ok {
+	if strategy == "" && elemSize > 0 {
+		k := tune.PermKey{Dims: pp.canonDims, Perm: pp.canonPerm, ElemSize: elemSize, MaxWorkers: parallel.Workers(o.Workers)}
+		d, ok, err := consultWisdom(o.Tuning, &wisdomTab.t.Perm, k)
+		if err != nil {
+			return nil, fmt.Errorf("%w (%s perm %s, %d-byte elements)", err, pp.canonDims, pp.canonPerm, elemSize)
+		}
+		if ok {
 			strategy = d.Strategy
 			if o.Workers == 0 {
 				o.Workers = d.Workers
 			}
-		} else if o.Tuning == WisdomRequired {
-			return nil, permWisdomErr(pp.canonDims, pp.canonPerm, elemSize)
 		}
 	}
 	pp.workers = o.Workers
@@ -484,26 +484,8 @@ type permKey struct {
 	typ        reflect.Type
 }
 
-var permCache struct {
-	mu    sync.RWMutex
-	m     map[permKey]any
-	order []permKey
-}
-
-var (
-	permCacheHits      = stats.Default().Counter("perm_cache_hits")
-	permCacheMisses    = stats.Default().Counter("perm_cache_misses")
-	permCacheEvictions = stats.Default().Counter("perm_cache_evictions")
-)
-
-// flushPermCache drops every cached permutation planner; called with the
-// 2D flush whenever the wisdom table mutates.
-func flushPermCache() {
-	permCache.mu.Lock()
-	permCache.m = nil
-	permCache.order = nil
-	permCache.mu.Unlock()
-}
+// permCache holds the permutation planners.
+var permCache = newPlanCache[permKey](stats.Default(), "perm_cache")
 
 // permPlannerFor returns the cached permutation planner for
 // (dims, perm, o, T), building and inserting it on first use.
@@ -514,32 +496,9 @@ func permPlannerFor[T any](dims, perm []int, o Options) (*PermutePlanner[T], err
 		opts: o,
 		typ:  reflect.TypeFor[T](),
 	}
-	permCache.mu.RLock()
-	v, ok := permCache.m[key]
-	permCache.mu.RUnlock()
-	if ok {
-		permCacheHits.Inc()
-		return v.(*PermutePlanner[T]), nil
-	}
-	permCacheMisses.Inc()
-	pl, err := NewPermutePlanner[T](dims, perm, o)
+	v, err := permCache.get(key, func() (any, error) { return NewPermutePlanner[T](dims, perm, o) })
 	if err != nil {
 		return nil, err
 	}
-	permCache.mu.Lock()
-	defer permCache.mu.Unlock()
-	if v, ok := permCache.m[key]; ok {
-		return v.(*PermutePlanner[T]), nil
-	}
-	if permCache.m == nil {
-		permCache.m = make(map[permKey]any)
-	}
-	for len(permCache.order) >= plannerCacheCap {
-		delete(permCache.m, permCache.order[0])
-		permCache.order = permCache.order[1:]
-		permCacheEvictions.Inc()
-	}
-	permCache.m[key] = pl
-	permCache.order = append(permCache.order, key)
-	return pl, nil
+	return v.(*PermutePlanner[T]), nil
 }

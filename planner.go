@@ -98,27 +98,90 @@ type plannerKey struct {
 	typ        reflect.Type
 }
 
-// plannerCacheCap bounds the cache; beyond it the oldest entries are
-// evicted FIFO. Scratch arenas are garbage-collectable sync.Pools, so
-// an evicted planner's memory is reclaimed once callers drop it.
+// plannerCacheCap bounds each plan cache; beyond it the oldest entries
+// are evicted FIFO. Scratch arenas are garbage-collectable sync.Pools,
+// so an evicted planner's memory is reclaimed once callers drop it.
 const plannerCacheCap = 128
 
-var plannerCache struct {
+// planCache is a bounded FIFO cache of planners: hits under a read
+// lock, a double-checked insert so concurrent builders of one key share
+// the published planner, and hit/miss/eviction counters on a stats
+// registry. Values are typed by their key (which names the element
+// type), so the cache holds them as any.
+type planCache[K comparable] struct {
 	mu    sync.RWMutex
-	m     map[plannerKey]any
-	order []plannerKey
+	m     map[K]any
+	order []K
+	// gen counts flushes. A planner built across a flush was resolved
+	// against the wisdom the flush retired, so it is returned to its
+	// caller but not published.
+	gen uint64
+
+	hits, misses, evictions *stats.Counter
 }
 
-// Cache counters, registered on the process-wide stats registry (the
-// same surface the out-of-core engine meters with) so exporters like
-// the xposed /stats endpoint enumerate them without knowing this
-// package. Read-only outside the package via PlannerCacheStats; atomic
-// because hits are recorded under the read lock.
-var (
-	cacheHits      = stats.Default().Counter("planner_cache_hits")
-	cacheMisses    = stats.Default().Counter("planner_cache_misses")
-	cacheEvictions = stats.Default().Counter("planner_cache_evictions")
-)
+// newPlanCache returns an empty cache whose counters are name_hits,
+// name_misses and name_evictions on reg.
+func newPlanCache[K comparable](reg *stats.Registry, name string) *planCache[K] {
+	return &planCache[K]{
+		hits:      reg.Counter(name + "_hits"),
+		misses:    reg.Counter(name + "_misses"),
+		evictions: reg.Counter(name + "_evictions"),
+	}
+}
+
+// get returns the value cached under key, building and publishing it on
+// a miss.
+func (c *planCache[K]) get(key K, build func() (any, error)) (any, error) {
+	c.mu.RLock()
+	v, ok := c.m[key]
+	gen := c.gen
+	c.mu.RUnlock()
+	if ok {
+		c.hits.Inc()
+		return v, nil
+	}
+	c.misses.Inc()
+	v, err := build()
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.gen != gen {
+		return v, nil
+	}
+	if pub, ok := c.m[key]; ok {
+		// Another goroutine built the same value concurrently; keep the
+		// published one so all callers share its arena.
+		return pub, nil
+	}
+	if c.m == nil {
+		c.m = make(map[K]any)
+	}
+	for len(c.order) >= plannerCacheCap {
+		delete(c.m, c.order[0])
+		c.order = c.order[1:]
+		c.evictions.Inc()
+	}
+	c.m[key] = v
+	c.order = append(c.order, key)
+	return v, nil
+}
+
+// flush drops every entry. Flushed entries do not count as evictions.
+func (c *planCache[K]) flush() {
+	c.mu.Lock()
+	c.m, c.order = nil, nil
+	c.gen++
+	c.mu.Unlock()
+}
+
+// plannerCache holds the 2D planners. Its counters are on the
+// process-wide stats registry (the same surface the out-of-core engine
+// meters with), so exporters like the xposed /stats endpoint enumerate
+// them without knowing this package; PlannerCacheStats reads them.
+var plannerCache = newPlanCache[plannerKey](stats.Default(), "planner_cache")
 
 // CacheStats is a snapshot of the planner cache counters.
 type CacheStats struct {
@@ -137,56 +200,27 @@ type CacheStats struct {
 // meter a workload.
 func PlannerCacheStats() CacheStats {
 	return CacheStats{
-		Hits:      cacheHits.Load(),
-		Misses:    cacheMisses.Load(),
-		Evictions: cacheEvictions.Load(),
+		Hits:      plannerCache.hits.Load(),
+		Misses:    plannerCache.misses.Load(),
+		Evictions: plannerCache.evictions.Load(),
 	}
 }
 
 // flushPlannerCache drops every cached planner — 2D and permutation
 // alike. Called when the wisdom table changes, since cached planners
-// embed decisions resolved against the old wisdom. Flushed entries do
-// not count as evictions.
+// embed decisions resolved against the old wisdom.
 func flushPlannerCache() {
-	plannerCache.mu.Lock()
-	plannerCache.m = nil
-	plannerCache.order = nil
-	plannerCache.mu.Unlock()
-	flushPermCache()
+	plannerCache.flush()
+	permCache.flush()
 }
 
 // plannerFor returns the cached planner for (rows, cols, o, T),
 // building and inserting it on first use.
 func plannerFor[T any](rows, cols int, o Options) (*Planner[T], error) {
 	key := plannerKey{rows: rows, cols: cols, opts: o, typ: reflect.TypeFor[T]()}
-	plannerCache.mu.RLock()
-	v, ok := plannerCache.m[key]
-	plannerCache.mu.RUnlock()
-	if ok {
-		cacheHits.Inc()
-		return v.(*Planner[T]), nil
-	}
-	cacheMisses.Inc()
-	pl, err := NewPlanner[T](rows, cols, o)
+	v, err := plannerCache.get(key, func() (any, error) { return NewPlanner[T](rows, cols, o) })
 	if err != nil {
 		return nil, err
 	}
-	plannerCache.mu.Lock()
-	defer plannerCache.mu.Unlock()
-	if v, ok := plannerCache.m[key]; ok {
-		// Another goroutine built the same planner concurrently; keep
-		// the published one so all callers share its arena.
-		return v.(*Planner[T]), nil
-	}
-	if plannerCache.m == nil {
-		plannerCache.m = make(map[plannerKey]any)
-	}
-	for len(plannerCache.order) >= plannerCacheCap {
-		delete(plannerCache.m, plannerCache.order[0])
-		plannerCache.order = plannerCache.order[1:]
-		cacheEvictions.Inc()
-	}
-	plannerCache.m[key] = pl
-	plannerCache.order = append(plannerCache.order, key)
-	return pl, nil
+	return v.(*Planner[T]), nil
 }

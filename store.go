@@ -242,13 +242,12 @@ func resolveChunkRows(rows, fields, elemSize int, o DatasetOptions) (int, error)
 	if o.ChunkRows != 0 {
 		return o.ChunkRows, nil
 	}
-	if o.Tuning != WisdomOff {
-		if d, ok := lookupStoreWisdom(rows, fields, elemSize); ok {
-			return d.ChunkRows, nil
-		}
-		if o.Tuning == WisdomRequired {
-			return 0, fmt.Errorf("%w (%d fields, %d-byte elements, tile store)", ErrNoWisdom, fields, elemSize)
-		}
+	d, ok, err := consultWisdom(o.Tuning, &wisdomTab.t.TileStore, storeWisdomKey(rows, fields, elemSize))
+	if err != nil {
+		return 0, fmt.Errorf("%w (%d fields, %d-byte elements, tile store)", err, fields, elemSize)
+	}
+	if ok {
+		return d.ChunkRows, nil
 	}
 	return defaultChunkRows(rows, fields, elemSize), nil
 }
@@ -272,19 +271,10 @@ func defaultChunkRows(rows, fields, elemSize int) int {
 	return cr
 }
 
-// lookupStoreWisdom returns the recorded tile-store decision for a
-// schema and row-count class.
-func lookupStoreWisdom(rows, fields, elemSize int) (tune.StoreDecision, bool) {
-	k := tune.StoreKey{Fields: fields, ElemSize: elemSize, RowsLog2: tune.BudgetLog2(int64(rows))}
-	wisdomTab.mu.RLock()
-	defer wisdomTab.mu.RUnlock()
-	return wisdomTab.t.LookupStore(k)
-}
-
-func storeStoreWisdom(k tune.StoreKey, d tune.StoreDecision) {
-	wisdomTab.mu.Lock()
-	wisdomTab.t.StoreStore(k, d)
-	wisdomTab.mu.Unlock()
+// storeWisdomKey is the wisdom identity of a schema and row-count
+// class.
+func storeWisdomKey(rows, fields, elemSize int) tune.StoreKey {
+	return tune.StoreKey{Fields: fields, ElemSize: elemSize, RowsLog2: tune.BudgetLog2(int64(rows))}
 }
 
 // StoreTuneResult reports the winning ingest configuration of a
@@ -396,10 +386,8 @@ func TuneStore(rows, fields, elemSize int, cfgs ...TuneConfig) (StoreTuneResult,
 			best.Workers = workers
 		}
 	}
-	storeStoreWisdom(
-		tune.StoreKey{Fields: fields, ElemSize: elemSize, RowsLog2: tune.BudgetLog2(int64(rows))},
-		tune.StoreDecision{ChunkRows: best.ChunkRows, Workers: best.Workers, GBps: best.GBps},
-	)
+	recordWisdom(&wisdomTab.t.TileStore, storeWisdomKey(rows, fields, elemSize),
+		tune.StoreDecision{ChunkRows: best.ChunkRows, Workers: best.Workers, GBps: best.GBps})
 	return best, nil
 }
 

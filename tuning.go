@@ -20,22 +20,41 @@ import (
 // quality comes from measurement, persistence makes the measurement pay
 // once per machine instead of once per process.
 
-// wisdomTab is the process wisdom table. All access goes through the
-// helpers below; the planner cache is flushed on every mutation so
-// cached planners never outlive the wisdom that shaped them.
-var wisdomTab = struct {
+// wisdomTab is the process wisdom table. ClearWisdom empties it in
+// place, so each section keeps one address: callers name a section as
+// &wisdomTab.t.OOC without the lock and go through consultWisdom and
+// recordWisdom, which take it.
+var wisdomTab struct {
 	mu sync.RWMutex
-	t  *tune.Table
-}{t: tune.NewTable()}
+	t  tune.Table
+}
 
-// lookupWisdom returns the recorded decision for an order-normalized
-// rows×cols shape with the given element size under the worker budget
-// that workersOpt resolves to.
-func lookupWisdom(rows, cols, elemSize, workersOpt int) (tune.Decision, bool) {
-	k := tune.Key{Rows: rows, Cols: cols, ElemSize: elemSize, MaxWorkers: parallel.Workers(workersOpt)}
+// consultWisdom resolves a Tuning mode against one wisdom section:
+// WisdomOff skips the lookup, a hit returns the decision, and a miss
+// under WisdomRequired returns ErrNoWisdom for the caller to annotate
+// with the problem it planned.
+func consultWisdom[K tune.SectionKey[K], D tune.SectionDecision](tuning Tuning, sec *tune.Section[K, D], k K) (D, bool, error) {
+	var d D
+	if tuning == WisdomOff {
+		return d, false, nil
+	}
 	wisdomTab.mu.RLock()
-	defer wisdomTab.mu.RUnlock()
-	return wisdomTab.t.Lookup(k)
+	d, ok := sec.Lookup(k)
+	wisdomTab.mu.RUnlock()
+	if !ok && tuning == WisdomRequired {
+		return d, false, ErrNoWisdom
+	}
+	return d, ok, nil
+}
+
+// recordWisdom stores a tuner's decision in one section of the process
+// table and flushes the plan caches, whose planners were resolved
+// against the old wisdom.
+func recordWisdom[K tune.SectionKey[K], D tune.SectionDecision](sec *tune.Section[K, D], k K, d D) {
+	wisdomTab.mu.Lock()
+	sec.Store(k, d)
+	wisdomTab.mu.Unlock()
+	flushPlannerCache()
 }
 
 // applyWisdom fills every option the caller left at its zero value from
@@ -143,7 +162,7 @@ func Tune[T any](rows, cols int, cfgs ...TuneConfig) (TuneResult, error) {
 	}
 	elemSize := int(reflect.TypeFor[T]().Size())
 	k := tune.Key{Rows: rows, Cols: cols, ElemSize: elemSize, MaxWorkers: parallel.Workers(c.Workers)}
-	storeWisdom(k, d)
+	recordWisdom(&wisdomTab.t.Transpose, k, d)
 
 	v, _ := d.CoreVariant()
 	res := TuneResult{
@@ -174,15 +193,6 @@ func TuneElem(rows, cols, elemSize int, cfgs ...TuneConfig) (TuneResult, error) 
 	default:
 		return TuneResult{}, fmt.Errorf("%w: %d (want 1, 2, 4 or 8)", ErrElemSize, elemSize)
 	}
-}
-
-func storeWisdom(k tune.Key, d tune.Decision) {
-	wisdomTab.mu.Lock()
-	wisdomTab.t.Store(k, d)
-	wisdomTab.mu.Unlock()
-	// Cached planners for this shape were resolved against the old
-	// wisdom; rebuild on next use.
-	flushPlannerCache()
 }
 
 // LoadWisdom merges the wisdom file at path into the process table.
@@ -243,7 +253,7 @@ func WisdomLen() int {
 // cache), restoring the pure static heuristics.
 func ClearWisdom() {
 	wisdomTab.mu.Lock()
-	wisdomTab.t = tune.NewTable()
+	wisdomTab.t = tune.Table{}
 	wisdomTab.mu.Unlock()
 	flushPlannerCache()
 }
